@@ -95,7 +95,9 @@ impl Targeting {
     }
 }
 
-/// An advertiser's campaign: targeting plus a fixed CPM bid.
+/// An advertiser's campaign: targeting plus a fixed CPM bid (held both as
+/// the CPM float the auction ranks by and as integer micro-units the ledger
+/// charges).
 ///
 /// # Examples
 ///
@@ -114,6 +116,7 @@ pub struct Campaign {
     name: String,
     targeting: Targeting,
     bid_cpm: f64,
+    bid_micros: u64,
 }
 
 impl Campaign {
@@ -131,7 +134,8 @@ impl Campaign {
         if !bid_cpm.is_finite() || bid_cpm <= 0.0 {
             return Err(AdError::InvalidBid(bid_cpm));
         }
-        Ok(Campaign { id: id.into(), name: name.into(), targeting, bid_cpm })
+        let bid_micros = crate::serving::to_micros(bid_cpm);
+        Ok(Campaign { id: id.into(), name: name.into(), targeting, bid_cpm, bid_micros })
     }
 
     /// The campaign id.
@@ -152,6 +156,12 @@ impl Campaign {
     /// The fixed CPM bid price.
     pub fn bid_cpm(&self) -> f64 {
         self.bid_cpm
+    }
+
+    /// The bid in integer micro-units, `round(bid_cpm × 1e6)` — what a win
+    /// at this price charges the ledger and puts on the wire.
+    pub fn bid_micros(&self) -> u64 {
+        self.bid_micros
     }
 
     /// The business location for radius campaigns (where the delivered ad
@@ -217,6 +227,7 @@ mod tests {
         assert_eq!(c.id().to_string(), "campaign-3");
         assert_eq!(c.name(), "bakery");
         assert_eq!(c.bid_cpm(), 1.5);
+        assert_eq!(c.bid_micros(), 1_500_000);
         assert_eq!(c.business_location(), Some(Point::new(10.0, 20.0)));
         assert_eq!(c.targeting(), t);
     }

@@ -46,6 +46,7 @@ pub mod exchange;
 pub mod inventory;
 mod network;
 pub mod platforms;
+mod rank;
 mod rtb;
 mod serving;
 
@@ -53,6 +54,6 @@ pub use areas::AreaGrid;
 pub use campaign::{Campaign, CampaignId, Targeting};
 pub use error::AdError;
 pub use exchange::BidExchange;
-pub use network::{AdNetwork, AuctionOutcome};
+pub use network::{AdNetwork, AdNetworkState, AuctionOutcome};
 pub use rtb::{BidLog, BidLogEntry, BidRequest, DeviceId, WireError};
 pub use serving::{ServingLedger, ServingPolicy, ServingState};

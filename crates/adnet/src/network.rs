@@ -1,8 +1,9 @@
 use privlocad_geo::Point;
 use serde::{Deserialize, Serialize};
 
+use crate::rank::{RankLanes, Top2};
 use crate::serving::{ServingLedger, ServingPolicy, ServingState};
-use crate::{BidLog, BidLogEntry, BidRequest, Campaign, CampaignId};
+use crate::{AreaGrid, BidLog, BidLogEntry, BidRequest, Campaign, CampaignId, DeviceId};
 
 /// The result of one second-price auction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -17,6 +18,11 @@ pub struct AuctionOutcome {
 /// The ad network: matches bid requests against the campaign inventory and
 /// runs second-price auctions (Section II-A's "ads matching &
 /// distribution" role).
+///
+/// Auctions run on a rank-ordered copy of the inventory (bid descending,
+/// id ascending) and stop at the second eligible campaign, so a request
+/// never sorts or ledger-checks every matching campaign. Budgets and
+/// spend are integer micro-units in dense per-campaign ledger slots.
 ///
 /// # Examples
 ///
@@ -35,12 +41,41 @@ pub struct AuctionOutcome {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(from = "AdNetworkState", into = "AdNetworkState")]
 pub struct AdNetwork {
     campaigns: Vec<Campaign>,
     log: BidLog,
     ledger: ServingLedger,
-    area_grid: Option<crate::AreaGrid>,
+    area_grid: Option<AreaGrid>,
     country: u16,
+    lanes: RankLanes,
+}
+
+/// The persisted form of an [`AdNetwork`]: everything except the derived
+/// rank lanes, which are rebuilt on the way back. `AdNetwork` serializes
+/// through this type.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct AdNetworkState {
+    campaigns: Vec<Campaign>,
+    log: BidLog,
+    ledger: ServingLedger,
+    area_grid: Option<AreaGrid>,
+    country: u16,
+}
+
+impl From<AdNetworkState> for AdNetwork {
+    fn from(state: AdNetworkState) -> Self {
+        let AdNetworkState { campaigns, log, mut ledger, area_grid, country } = state;
+        let lanes = RankLanes::build(&campaigns, &mut ledger);
+        AdNetwork { campaigns, log, ledger, area_grid, country, lanes }
+    }
+}
+
+impl From<AdNetwork> for AdNetworkState {
+    fn from(network: AdNetwork) -> Self {
+        let AdNetwork { campaigns, log, ledger, area_grid, country, lanes: _ } = network;
+        AdNetworkState { campaigns, log, ledger, area_grid, country }
+    }
 }
 
 impl AdNetwork {
@@ -49,18 +84,12 @@ impl AdNetwork {
     /// [`AdNetwork::set_area_grid`] / [`AdNetwork::set_country`] configure
     /// the request-side resolution.
     pub fn new(campaigns: Vec<Campaign>) -> Self {
-        AdNetwork {
-            campaigns,
-            log: BidLog::new(),
-            ledger: ServingLedger::new(),
-            area_grid: None,
-            country: 0,
-        }
+        AdNetworkState { campaigns, ..AdNetworkState::default() }.into()
     }
 
     /// Configures how reported locations resolve to administrative-area
     /// ids (enables `Targeting::Area` campaigns).
-    pub fn set_area_grid(&mut self, grid: crate::AreaGrid) {
+    pub fn set_area_grid(&mut self, grid: AreaGrid) {
         self.area_grid = Some(grid);
     }
 
@@ -73,6 +102,8 @@ impl AdNetwork {
     /// Attaches a budget / frequency-cap policy to a campaign.
     pub fn set_policy(&mut self, campaign: CampaignId, policy: ServingPolicy) {
         self.ledger.set_policy(campaign, policy);
+        let slot = self.ledger.slot(campaign);
+        self.lanes.set_open(slot, self.ledger.budget_open(slot));
     }
 
     /// The delivery state (spend, impressions) of a campaign.
@@ -80,26 +111,50 @@ impl AdNetwork {
         self.ledger.state(campaign)
     }
 
-    /// The full campaign inventory.
+    /// The full campaign inventory, in registration order.
     pub fn campaigns(&self) -> &[Campaign] {
         &self.campaigns
     }
 
-    /// Adds a campaign to the inventory.
+    /// Adds a campaign to the inventory (re-ranking it).
     pub fn register(&mut self, campaign: Campaign) {
         self.campaigns.push(campaign);
+        self.lanes = RankLanes::build(&self.campaigns, &mut self.ledger);
     }
 
     /// The campaigns whose targeting matches a request at `location`.
     /// Radius campaigns match geometrically; area campaigns through the
-    /// configured [`AreaGrid`](crate::AreaGrid); country campaigns through
+    /// configured [`AreaGrid`]; country campaigns through
     /// the configured country id.
     pub fn matching(&self, location: Point) -> Vec<&Campaign> {
-        let area = self.area_grid.map_or(0, |g| g.area_of(location));
+        let area = self.area_of(location);
         self.campaigns
             .iter()
             .filter(|c| c.matches(location, area, self.country))
             .collect()
+    }
+
+    fn area_of(&self, location: Point) -> u32 {
+        self.area_grid.map_or(0, |g| g.area_of(location))
+    }
+
+    /// The top two eligible campaigns for a request: matching targeting,
+    /// budget open, and `device` under the frequency cap.
+    fn top2(&self, location: Point, device: DeviceId) -> Option<Top2> {
+        let area = self.area_of(location);
+        self.lanes.top2(location, area, self.country, &self.ledger, device)
+    }
+
+    /// Charges the winner of `top` the clearing price, returning the
+    /// winner's campaign index and the price in micro-units. Retires the
+    /// winner's lanes when the charge exhausts its budget.
+    fn settle(&mut self, top: Top2, device: DeviceId) -> (usize, u64) {
+        let slot = self.lanes.slot(top.winner);
+        let price_micros = self.campaigns[self.lanes.campaign(top.price)].bid_micros();
+        if !self.ledger.record_slot(slot, device, price_micros) {
+            self.lanes.set_open(slot, false);
+        }
+        (self.lanes.campaign(top.winner), price_micros)
     }
 
     /// Runs a second-price auction among matching campaigns without
@@ -108,33 +163,24 @@ impl AdNetwork {
     /// Campaigns over budget or over their per-device frequency cap for
     /// the requesting device do not participate.
     pub fn auction(&self, request: &BidRequest) -> Option<AuctionOutcome> {
-        let mut matched: Vec<&Campaign> = self
-            .matching(request.location)
-            .into_iter()
-            .filter(|c| self.ledger.eligible(c.id(), request.device))
-            .collect();
-        if matched.is_empty() {
-            return None;
+        self.top2(request.location, request.device).map(|top| self.outcome(top))
+    }
+
+    fn outcome(&self, top: Top2) -> AuctionOutcome {
+        AuctionOutcome {
+            winner: self.campaigns[self.lanes.campaign(top.winner)].clone(),
+            price: self.campaigns[self.lanes.campaign(top.price)].bid_cpm(),
         }
-        matched.sort_by(|a, b| {
-            b.bid_cpm()
-                .partial_cmp(&a.bid_cpm())
-                .expect("bids are finite")
-                .then(a.id().cmp(&b.id()))
-        });
-        let winner = matched[0].clone();
-        let price = matched.get(1).map_or(winner.bid_cpm(), |c| c.bid_cpm());
-        Some(AuctionOutcome { winner, price })
     }
 
     /// Serves a request end-to-end: runs the auction, appends the
     /// transaction to the bid log (the longitudinal attacker's feed), and
     /// returns the outcome.
     pub fn serve(&mut self, request: BidRequest) -> Option<AuctionOutcome> {
-        let outcome = self.auction(&request);
-        if let Some(o) = &outcome {
-            self.ledger.record(o.winner.id(), request.device, o.price);
-        }
+        let outcome = self.top2(request.location, request.device).map(|top| {
+            self.settle(top, request.device);
+            self.outcome(top)
+        });
         self.log.push(BidLogEntry {
             request,
             winner: outcome.as_ref().map(|o| o.winner.id()),
@@ -145,33 +191,28 @@ impl AdNetwork {
 
     /// Serves one OpenRTB-lite request end-to-end: the auction runs at the
     /// request's reported geo with the requesting device's ledger
-    /// eligibility, spend and frequency caps are recorded exactly as for
-    /// [`AdNetwork::serve`], and the outcome comes back as a codec
+    /// eligibility, and spend and frequency caps are recorded exactly as
+    /// for [`AdNetwork::serve`]; the outcome comes back as a codec
     /// [`BidResponse`](privlocad_openrtb::BidResponse) echoing the request
-    /// id.
+    /// id. The legacy transaction log is not appended to: the exchange
+    /// keeps its own log.
     ///
     /// Prices cross the wire in integer micro-units
-    /// (`round(cpm × 1e6)`), so exchange-log digests never depend on float
-    /// formatting.
+    /// (`round(cpm × 1e6)`, the ledger's own units), so exchange-log
+    /// digests never depend on float formatting.
     pub fn serve_exchange(
         &mut self,
         request: &privlocad_openrtb::BidRequest,
     ) -> privlocad_openrtb::BidResponse {
-        let legacy = BidRequest {
-            device: request.device.id,
-            location: request.device.geo.point(),
-            // The codec carries a per-device sequence number instead of
-            // wall time; reuse it as the log timestamp so per-device
-            // ordering survives in the legacy transaction log.
-            timestamp: request.seq as i64,
-        };
-        match self.serve(legacy) {
+        let device = request.device.id;
+        match self.top2(request.device.geo.point(), device) {
             None => privlocad_openrtb::BidResponse::no_bid(request.id),
-            Some(o) => {
-                let seat = o.winner.id().raw();
+            Some(top) => {
+                let (winner, price_micros) = self.settle(top, device);
+                let seat = self.campaigns[winner].id().raw();
                 let bid = privlocad_openrtb::Bid {
                     imp: request.imp.id,
-                    price_micros: (o.price * 1e6).round() as u64,
+                    price_micros,
                     adm: privlocad_openrtb::fnv1a64(&seat.to_be_bytes()),
                 };
                 privlocad_openrtb::BidResponse::win(
@@ -182,7 +223,7 @@ impl AdNetwork {
         }
     }
 
-    /// The accumulated transaction log.
+    /// The accumulated transaction log of [`AdNetwork::serve`].
     pub fn log(&self) -> &BidLog {
         &self.log
     }
@@ -363,11 +404,29 @@ mod tests {
         assert_eq!(sb.seat, 0, "highest bidder wins");
         assert_eq!(sb.bid.price_micros, 5_000_000, "pays the second price in micros");
         assert_eq!(net.serving_state(CampaignId::new(0)).total_impressions(), 1);
-        assert_eq!(net.log().len(), 1, "legacy transaction log still appended");
+        assert_eq!(net.serving_state(CampaignId::new(0)).spent_micros(), 5_000_000);
         let far =
             privlocad_openrtb::BidRequest::new(Did::new(1), 1, Geo { x: 50_000.0, y: 0.0 });
         assert!(!net.serve_exchange(&far).is_win(), "out of radius is a no-bid");
-        assert_eq!(net.log().len(), 2);
+        assert!(net.log().is_empty(), "the exchange path never appends the legacy log");
+    }
+
+    #[test]
+    fn persisted_state_round_trip_rebuilds_identical_lanes() {
+        let round_trip = |net: &AdNetwork| AdNetwork::from(AdNetworkState::from(net.clone()));
+        assert_eq!(round_trip(&AdNetwork::default()), AdNetwork::new(Vec::new()));
+        let mut net = AdNetwork::new(vec![
+            radius_campaign(0, 0.0, 5_000.0, 10.0),
+            radius_campaign(1, 0.0, 5_000.0, 4.0),
+        ]);
+        net.set_policy(CampaignId::new(0), ServingPolicy::unlimited().with_budget(4.0));
+        net.set_policy(CampaignId::new(7), ServingPolicy::unlimited().with_frequency_cap(1));
+        assert_eq!(net.serve(req(0.0)).unwrap().winner.id().raw(), 0);
+        // Campaign 0 is now out of budget: its lane is closed, and the
+        // rebuilt lanes must agree.
+        let restored = round_trip(&net);
+        assert_eq!(restored, net);
+        assert_eq!(restored.auction(&req(0.0)).unwrap().winner.id().raw(), 1);
     }
 
     #[test]

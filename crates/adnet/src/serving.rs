@@ -4,14 +4,23 @@ use serde::{Deserialize, Serialize};
 
 use crate::{CampaignId, DeviceId};
 
+/// Converts a CPM amount to integer micro-units, `round(cpm × 1e6)` — the
+/// same conversion the OpenRTB-lite wire applies to prices, so ledger spend
+/// and wire totals agree to the micro. Non-finite or negative inputs
+/// saturate (callers validate before converting).
+pub(crate) fn to_micros(cpm: f64) -> u64 {
+    (cpm * 1e6).round() as u64
+}
+
 /// Delivery constraints an advertiser attaches to a campaign (the
 /// "serving frequency" and budget attributes of Fig. 1).
+///
+/// The budget is held in integer micro-units; [`ServingPolicy::with_budget`]
+/// converts the CPM amount once.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ServingPolicy {
-    /// Total spend budget in clearing-price units; `None` is unlimited.
-    pub budget: Option<f64>,
-    /// Maximum impressions per device; `None` is uncapped.
-    pub frequency_cap: Option<u32>,
+    budget_micros: Option<u64>,
+    frequency_cap: Option<u32>,
 }
 
 impl ServingPolicy {
@@ -20,14 +29,17 @@ impl ServingPolicy {
         ServingPolicy::default()
     }
 
-    /// A policy with a total budget.
+    /// A policy with a total budget in clearing-price units.
     ///
     /// # Panics
     ///
-    /// Panics if `budget` is not positive and finite.
+    /// Panics if `budget` is not positive and finite, or rounds to zero
+    /// micro-units.
     pub fn with_budget(mut self, budget: f64) -> Self {
         assert!(budget.is_finite() && budget > 0.0, "budget must be positive and finite");
-        self.budget = Some(budget);
+        let micros = to_micros(budget);
+        assert!(micros > 0, "budget must be positive and finite (at least one micro)");
+        self.budget_micros = Some(micros);
         self
     }
 
@@ -41,19 +53,34 @@ impl ServingPolicy {
         self.frequency_cap = Some(cap);
         self
     }
+
+    /// The total budget in integer micro-units; `None` is unlimited.
+    pub fn budget_micros(&self) -> Option<u64> {
+        self.budget_micros
+    }
+
+    /// The maximum impressions per device; `None` is uncapped.
+    pub fn frequency_cap(&self) -> Option<u32> {
+        self.frequency_cap
+    }
 }
 
 /// Mutable delivery state of one campaign under its policy.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ServingState {
-    spent: f64,
+    spent_micros: u64,
     impressions: BTreeMap<u64, u32>,
 }
 
 impl ServingState {
-    /// Total spend so far.
+    /// Total spend so far, in clearing-price units.
     pub fn spent(&self) -> f64 {
-        self.spent
+        self.spent_micros as f64 / 1e6
+    }
+
+    /// Total spend so far, in integer micro-units.
+    pub fn spent_micros(&self) -> u64 {
+        self.spent_micros
     }
 
     /// Impressions served to one device.
@@ -68,10 +95,15 @@ impl ServingState {
 }
 
 /// Tracks policies and delivery state for a campaign inventory.
+///
+/// Each campaign id owns one dense *slot*: the id → slot map is consulted
+/// once per id (at inventory build or policy change); the auction reads
+/// and writes policies and state by slot index.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ServingLedger {
-    policies: BTreeMap<u64, ServingPolicy>,
-    states: BTreeMap<u64, ServingState>,
+    slot_of: BTreeMap<u64, u32>,
+    policies: Vec<ServingPolicy>,
+    states: Vec<ServingState>,
 }
 
 impl ServingLedger {
@@ -80,20 +112,37 @@ impl ServingLedger {
         ServingLedger::default()
     }
 
+    /// The slot of `campaign`, allocated (unlimited, nothing spent) on
+    /// first use.
+    pub(crate) fn slot(&mut self, campaign: CampaignId) -> u32 {
+        let next = self.states.len() as u32;
+        let slot = *self.slot_of.entry(campaign.raw()).or_insert(next);
+        if slot == next {
+            self.policies.push(ServingPolicy::default());
+            self.states.push(ServingState::default());
+        }
+        slot
+    }
+
     /// Attaches a policy to a campaign (replacing any previous policy but
     /// keeping accumulated state).
     pub fn set_policy(&mut self, campaign: CampaignId, policy: ServingPolicy) {
-        self.policies.insert(campaign.raw(), policy);
+        let slot = self.slot(campaign);
+        self.policies[slot as usize] = policy;
     }
 
     /// The policy of a campaign (unlimited if never set).
     pub fn policy(&self, campaign: CampaignId) -> ServingPolicy {
-        self.policies.get(&campaign.raw()).copied().unwrap_or_default()
+        self.slot_of.get(&campaign.raw()).map_or_else(ServingPolicy::default, |&s| {
+            self.policies[s as usize]
+        })
     }
 
     /// The delivery state of a campaign.
     pub fn state(&self, campaign: CampaignId) -> ServingState {
-        self.states.get(&campaign.raw()).cloned().unwrap_or_default()
+        self.slot_of
+            .get(&campaign.raw())
+            .map_or_else(ServingState::default, |&s| self.states[s as usize].clone())
     }
 
     /// Whether the campaign may bid for another impression to `device`
@@ -104,26 +153,38 @@ impl ServingLedger {
     /// may overshoot slightly (the clearing price is unknown before the
     /// auction).
     pub fn eligible(&self, campaign: CampaignId, device: DeviceId) -> bool {
-        let policy = self.policy(campaign);
-        let state = self.states.get(&campaign.raw());
-        if let Some(budget) = policy.budget {
-            if state.map_or(0.0, |s| s.spent) >= budget {
-                return false;
-            }
-        }
-        if let Some(cap) = policy.frequency_cap {
-            if state.map_or(0, |s| s.impressions_for(device)) >= cap {
-                return false;
-            }
-        }
-        true
+        self.slot_of
+            .get(&campaign.raw())
+            .is_none_or(|&s| self.budget_open(s) && !self.capped(s, device))
     }
 
-    /// Records a served impression.
+    /// Whether the slot's budget (if any) still has room.
+    pub(crate) fn budget_open(&self, slot: u32) -> bool {
+        let slot = slot as usize;
+        self.policies[slot].budget_micros.is_none_or(|b| self.states[slot].spent_micros < b)
+    }
+
+    /// Whether `device` has reached the slot's frequency cap (if any).
+    pub(crate) fn capped(&self, slot: u32, device: DeviceId) -> bool {
+        let slot = slot as usize;
+        self.policies[slot]
+            .frequency_cap
+            .is_some_and(|cap| self.states[slot].impressions_for(device) >= cap)
+    }
+
+    /// Records a served impression at a clearing price in CPM units.
     pub fn record(&mut self, campaign: CampaignId, device: DeviceId, price: f64) {
-        let state = self.states.entry(campaign.raw()).or_default();
-        state.spent += price;
+        let slot = self.slot(campaign);
+        self.record_slot(slot, device, to_micros(price));
+    }
+
+    /// Records a served impression by slot, returning whether the slot's
+    /// budget is still open afterwards.
+    pub(crate) fn record_slot(&mut self, slot: u32, device: DeviceId, price_micros: u64) -> bool {
+        let state = &mut self.states[slot as usize];
+        state.spent_micros = state.spent_micros.saturating_add(price_micros);
         *state.impressions.entry(device.raw()).or_insert(0) += 1;
+        self.budget_open(slot)
     }
 }
 

@@ -10,10 +10,10 @@
 //!    a killed batch never half-emits and a replayed batch emits exactly
 //!    once.
 //! 3. **Ledger integrity.** The serving ledger's recorded spend equals
-//!    the sum of cleared prices on the wire (so a replayed batch can
-//!    never double-spend a budget), per-device frequency caps hold for
-//!    every campaign, and the faulted run spends identically to the
-//!    clean one.
+//!    the sum of cleared prices on the wire to the micro (so a replayed
+//!    batch can never double-spend a budget), per-device frequency caps
+//!    hold for every campaign, and the faulted run spends identically to
+//!    the clean one.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -175,21 +175,23 @@ fn ledger_spend_matches_the_wire_and_respects_caps() {
         let state = exchange.network().serving_state(campaign.id());
         let (wire_micros, wire_wins) =
             spend.get(&campaign.id().raw()).copied().unwrap_or((0, 0));
-        // Prices cross the wire as round(cpm * 1e6): the ledger's float
-        // spend and the wire total agree to within half a micro per win.
-        let ledger_micros = state.spent() * 1e6;
-        assert!(
-            (ledger_micros - wire_micros as f64).abs() <= f64::from(wire_wins),
-            "campaign {} ledger spend {ledger_micros} != wire {wire_micros}",
+        // Prices cross the wire as round(cpm * 1e6), the ledger's own
+        // integer units: ledger spend and the wire total agree exactly.
+        let ledger_micros = state.spent_micros();
+        assert_eq!(
+            ledger_micros,
+            wire_micros,
+            "campaign {} ledger spend != wire spend",
             campaign.id().raw()
         );
         assert_eq!(state.total_impressions(), wire_wins, "one impression per cleared win");
         // Budget overshoot is bounded by the final impression (pacing
         // semantics): spend below the budget before the last win.
         if wire_wins > 0 {
-            let max_price = spend.values().map(|&(m, _)| m).max().unwrap_or(0) as f64;
+            let max_price = spend.values().map(|&(m, _)| m).max().unwrap_or(0);
+            let budget = policy.budget_micros().expect("the marketplace sets a budget");
             assert!(
-                ledger_micros < BUDGET * 1e6 + max_price,
+                ledger_micros < budget + max_price,
                 "campaign {} blew through its budget",
                 campaign.id().raw()
             );

@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> cargo build --no-default-features (trace feature compiles out)"
 cargo build --workspace --no-default-features
