@@ -15,9 +15,8 @@
 //! - [`Campaign`] / [`Targeting`]: advertiser campaigns with radius, area,
 //!   or country targeting.
 //! - [`AdNetwork`]: matching and second-price auctions over an inventory.
-//! - [`BidRequest`] / [`BidLog`]: the request stream and the transaction
-//!   log an honest-but-curious observer accumulates, including a compact
-//!   binary wire encoding.
+//! - [`BidExchange`]: settles OpenRTB-lite bid requests through the
+//!   auction into the exchange log an honest-but-curious observer reads.
 //! - [`inventory`]: a synthetic campaign generator for the evaluation.
 //!
 //! # Examples
@@ -47,13 +46,16 @@ pub mod inventory;
 mod network;
 pub mod platforms;
 mod rank;
-mod rtb;
 mod serving;
 
 pub use areas::AreaGrid;
 pub use campaign::{Campaign, CampaignId, Targeting};
 pub use error::AdError;
 pub use exchange::BidExchange;
-pub use network::{AdNetwork, AdNetworkState, AuctionOutcome};
-pub use rtb::{BidLog, BidLogEntry, BidRequest, DeviceId, WireError};
+pub use network::{AdNetwork, AdNetworkState};
+/// The advertising identifier of a device (Android ID / IDFA in the paper's
+/// attack model): the stable key that lets a longitudinal attacker link a
+/// user's bid requests over years. It is a wire concept, defined by the
+/// OpenRTB-lite codec.
+pub use privlocad_openrtb::DeviceId;
 pub use serving::{ServingLedger, ServingPolicy, ServingState};

@@ -1,19 +1,10 @@
 use privlocad_geo::Point;
+use privlocad_openrtb::{Bid, BidRequest, BidResponse, SeatBid};
 use serde::{Deserialize, Serialize};
 
 use crate::rank::{RankLanes, Top2};
 use crate::serving::{ServingLedger, ServingPolicy, ServingState};
-use crate::{AreaGrid, BidLog, BidLogEntry, BidRequest, Campaign, CampaignId, DeviceId};
-
-/// The result of one second-price auction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AuctionOutcome {
-    /// The winning campaign, cloned out of the inventory.
-    pub winner: Campaign,
-    /// The clearing price: the second-highest bid, or the winner's own bid
-    /// when it was the only matching campaign.
-    pub price: f64,
-}
+use crate::{AreaGrid, Campaign, CampaignId, DeviceId};
 
 /// The ad network: matches bid requests against the campaign inventory and
 /// runs second-price auctions (Section II-A's "ads matching &
@@ -27,24 +18,24 @@ pub struct AuctionOutcome {
 /// # Examples
 ///
 /// ```
-/// use privlocad_adnet::{AdNetwork, BidRequest, Campaign, DeviceId, Targeting};
+/// use privlocad_adnet::{AdNetwork, Campaign, DeviceId, Targeting};
 /// use privlocad_geo::Point;
+/// use privlocad_openrtb::{BidRequest, Geo};
 ///
-/// let network = AdNetwork::new(vec![
+/// let mut network = AdNetwork::new(vec![
 ///     Campaign::new(0, "high bidder", Targeting::radius(Point::ORIGIN, 5_000.0)?, 10.0)?,
 ///     Campaign::new(1, "low bidder", Targeting::radius(Point::ORIGIN, 5_000.0)?, 4.0)?,
 /// ]);
-/// let req = BidRequest { device: DeviceId::new(1), location: Point::ORIGIN, timestamp: 0 };
-/// let outcome = network.auction(&req).unwrap();
-/// assert_eq!(outcome.winner.name(), "high bidder");
-/// assert_eq!(outcome.price, 4.0); // pays the second price
+/// let request = BidRequest::new(DeviceId::new(1), 0, Geo::from_point(Point::ORIGIN));
+/// let win = network.serve_exchange(&request).seatbid.unwrap();
+/// assert_eq!(win.seat, 0); // the high bidder's campaign id
+/// assert_eq!(win.bid.price_micros, 4_000_000); // pays the second price
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(from = "AdNetworkState", into = "AdNetworkState")]
 pub struct AdNetwork {
     campaigns: Vec<Campaign>,
-    log: BidLog,
     ledger: ServingLedger,
     area_grid: Option<AreaGrid>,
     country: u16,
@@ -57,7 +48,6 @@ pub struct AdNetwork {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AdNetworkState {
     campaigns: Vec<Campaign>,
-    log: BidLog,
     ledger: ServingLedger,
     area_grid: Option<AreaGrid>,
     country: u16,
@@ -65,16 +55,16 @@ pub struct AdNetworkState {
 
 impl From<AdNetworkState> for AdNetwork {
     fn from(state: AdNetworkState) -> Self {
-        let AdNetworkState { campaigns, log, mut ledger, area_grid, country } = state;
+        let AdNetworkState { campaigns, mut ledger, area_grid, country } = state;
         let lanes = RankLanes::build(&campaigns, &mut ledger);
-        AdNetwork { campaigns, log, ledger, area_grid, country, lanes }
+        AdNetwork { campaigns, ledger, area_grid, country, lanes }
     }
 }
 
 impl From<AdNetwork> for AdNetworkState {
     fn from(network: AdNetwork) -> Self {
-        let AdNetwork { campaigns, log, ledger, area_grid, country, lanes: _ } = network;
-        AdNetworkState { campaigns, log, ledger, area_grid, country }
+        let AdNetwork { campaigns, ledger, area_grid, country, lanes: _ } = network;
+        AdNetworkState { campaigns, ledger, area_grid, country }
     }
 }
 
@@ -157,87 +147,40 @@ impl AdNetwork {
         (self.lanes.campaign(top.winner), price_micros)
     }
 
-    /// Runs a second-price auction among matching campaigns without
-    /// logging. Returns `None` when nothing matches.
-    ///
-    /// Campaigns over budget or over their per-device frequency cap for
-    /// the requesting device do not participate.
-    pub fn auction(&self, request: &BidRequest) -> Option<AuctionOutcome> {
-        self.top2(request.location, request.device).map(|top| self.outcome(top))
-    }
-
-    fn outcome(&self, top: Top2) -> AuctionOutcome {
-        AuctionOutcome {
-            winner: self.campaigns[self.lanes.campaign(top.winner)].clone(),
-            price: self.campaigns[self.lanes.campaign(top.price)].bid_cpm(),
-        }
-    }
-
-    /// Serves a request end-to-end: runs the auction, appends the
-    /// transaction to the bid log (the longitudinal attacker's feed), and
-    /// returns the outcome.
-    pub fn serve(&mut self, request: BidRequest) -> Option<AuctionOutcome> {
-        let outcome = self.top2(request.location, request.device).map(|top| {
-            self.settle(top, request.device);
-            self.outcome(top)
-        });
-        self.log.push(BidLogEntry {
-            request,
-            winner: outcome.as_ref().map(|o| o.winner.id()),
-            price: outcome.as_ref().map_or(0.0, |o| o.price),
-        });
-        outcome
-    }
-
-    /// Serves one OpenRTB-lite request end-to-end: the auction runs at the
-    /// request's reported geo with the requesting device's ledger
-    /// eligibility, and spend and frequency caps are recorded exactly as
-    /// for [`AdNetwork::serve`]; the outcome comes back as a codec
-    /// [`BidResponse`](privlocad_openrtb::BidResponse) echoing the request
-    /// id. The legacy transaction log is not appended to: the exchange
-    /// keeps its own log.
+    /// Serves one OpenRTB-lite request end-to-end, the network's one
+    /// auction entry point: the second-price auction runs at the request's
+    /// reported geo among campaigns under budget and under their frequency
+    /// cap for the requesting device, the winner's spend and impression are
+    /// recorded, and the outcome comes back as a [`BidResponse`] echoing
+    /// the request id. Logging is the exchange's job
+    /// ([`BidExchange`](crate::BidExchange)).
     ///
     /// Prices cross the wire in integer micro-units
     /// (`round(cpm × 1e6)`, the ledger's own units), so exchange-log
     /// digests never depend on float formatting.
-    pub fn serve_exchange(
-        &mut self,
-        request: &privlocad_openrtb::BidRequest,
-    ) -> privlocad_openrtb::BidResponse {
+    pub fn serve_exchange(&mut self, request: &BidRequest) -> BidResponse {
         let device = request.device.id;
         match self.top2(request.device.geo.point(), device) {
-            None => privlocad_openrtb::BidResponse::no_bid(request.id),
+            None => BidResponse::no_bid(request.id),
             Some(top) => {
                 let (winner, price_micros) = self.settle(top, device);
                 let seat = self.campaigns[winner].id().raw();
-                let bid = privlocad_openrtb::Bid {
+                let bid = Bid {
                     imp: request.imp.id,
                     price_micros,
                     adm: privlocad_openrtb::fnv1a64(&seat.to_be_bytes()),
                 };
-                privlocad_openrtb::BidResponse::win(
-                    request.id,
-                    privlocad_openrtb::SeatBid { seat, bid },
-                )
+                BidResponse::win(request.id, SeatBid { seat, bid })
             }
         }
-    }
-
-    /// The accumulated transaction log of [`AdNetwork::serve`].
-    pub fn log(&self) -> &BidLog {
-        &self.log
-    }
-
-    /// Hands the log to a (simulated) longitudinal observer and clears it.
-    pub fn take_log(&mut self) -> BidLog {
-        std::mem::take(&mut self.log)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeviceId, Targeting};
+    use crate::Targeting;
+    use privlocad_openrtb::Geo;
 
     fn radius_campaign(id: u64, x: f64, radius: f64, bid: f64) -> Campaign {
         Campaign::new(
@@ -249,8 +192,11 @@ mod tests {
         .unwrap()
     }
 
-    fn req(x: f64) -> BidRequest {
-        BidRequest { device: DeviceId::new(1), location: Point::new(x, 0.0), timestamp: 0 }
+    /// Serves one request from `device` at `(x, 0)`; a win comes back as
+    /// `(seat, price_micros)`.
+    fn bid(net: &mut AdNetwork, device: u64, x: f64) -> Option<(u64, u64)> {
+        let request = BidRequest::new(DeviceId::new(device), 0, Geo { x, y: 0.0 });
+        net.serve_exchange(&request).seatbid.map(|sb| (sb.seat, sb.bid.price_micros))
     }
 
     #[test]
@@ -266,64 +212,32 @@ mod tests {
 
     #[test]
     fn second_price_auction() {
-        let net = AdNetwork::new(vec![
+        let mut net = AdNetwork::new(vec![
             radius_campaign(0, 0.0, 5_000.0, 2.0),
             radius_campaign(1, 0.0, 5_000.0, 8.0),
             radius_campaign(2, 0.0, 5_000.0, 5.0),
         ]);
-        let o = net.auction(&req(0.0)).unwrap();
-        assert_eq!(o.winner.id().raw(), 1);
-        assert_eq!(o.price, 5.0);
+        assert_eq!(bid(&mut net, 1, 0.0), Some((1, 5_000_000)));
     }
 
     #[test]
     fn single_bidder_pays_own_bid() {
-        let net = AdNetwork::new(vec![radius_campaign(0, 0.0, 5_000.0, 3.5)]);
-        let o = net.auction(&req(0.0)).unwrap();
-        assert_eq!(o.price, 3.5);
+        let mut net = AdNetwork::new(vec![radius_campaign(0, 0.0, 5_000.0, 3.5)]);
+        assert_eq!(bid(&mut net, 1, 0.0), Some((0, 3_500_000)));
     }
 
     #[test]
     fn tie_broken_by_campaign_id() {
-        let net = AdNetwork::new(vec![
+        let mut net = AdNetwork::new(vec![
             radius_campaign(5, 0.0, 5_000.0, 4.0),
             radius_campaign(2, 0.0, 5_000.0, 4.0),
         ]);
-        let o = net.auction(&req(0.0)).unwrap();
-        assert_eq!(o.winner.id().raw(), 2);
-        assert_eq!(o.price, 4.0);
-    }
-
-    #[test]
-    fn no_match_no_outcome_but_logged() {
-        let mut net = AdNetwork::new(vec![radius_campaign(0, 50_000.0, 100.0, 1.0)]);
-        assert!(net.serve(req(0.0)).is_none());
-        assert_eq!(net.log().len(), 1);
-        assert_eq!(net.log().entries()[0].winner, None);
-        assert_eq!(net.log().entries()[0].price, 0.0);
-    }
-
-    #[test]
-    fn serve_logs_reported_location() {
-        let mut net = AdNetwork::new(vec![radius_campaign(0, 0.0, 5_000.0, 1.0)]);
-        net.serve(req(123.0));
-        net.serve(req(456.0));
-        let locs = net.log().locations_of(DeviceId::new(1));
-        assert_eq!(locs, vec![Point::new(123.0, 0.0), Point::new(456.0, 0.0)]);
-    }
-
-    #[test]
-    fn take_log_clears() {
-        let mut net = AdNetwork::new(vec![radius_campaign(0, 0.0, 5_000.0, 1.0)]);
-        net.serve(req(0.0));
-        let log = net.take_log();
-        assert_eq!(log.len(), 1);
-        assert!(net.log().is_empty());
+        assert_eq!(bid(&mut net, 1, 0.0), Some((2, 4_000_000)));
     }
 
     #[test]
     fn area_campaigns_match_through_the_grid() {
-        use crate::{AreaGrid, Targeting};
+        use crate::AreaGrid;
         let grid = AreaGrid::new(10_000.0);
         let downtown = grid.area_of(Point::new(5_000.0, 5_000.0));
         let mut net = AdNetwork::new(vec![Campaign::new(
@@ -343,7 +257,6 @@ mod tests {
 
     #[test]
     fn country_campaigns_match_after_configuration() {
-        use crate::Targeting;
         let mut net =
             AdNetwork::new(vec![Campaign::new(0u64, "national", Targeting::Country(86), 1.0)
                 .unwrap()]);
@@ -363,41 +276,30 @@ mod tests {
         // The top bidder can afford exactly two second-price (4.0) wins.
         net.set_policy(CampaignId::new(0), ServingPolicy::unlimited().with_budget(8.0));
         for _ in 0..2 {
-            let o = net.serve(req(0.0)).unwrap();
-            assert_eq!(o.winner.id().raw(), 0);
-            assert_eq!(o.price, 4.0);
+            assert_eq!(bid(&mut net, 1, 0.0), Some((0, 4_000_000)));
         }
         // Budget exhausted: the runner-up now wins at its own bid.
-        let o = net.serve(req(0.0)).unwrap();
-        assert_eq!(o.winner.id().raw(), 1);
-        assert_eq!(o.price, 4.0);
-        assert!((net.serving_state(CampaignId::new(0)).spent() - 8.0).abs() < 1e-12);
+        assert_eq!(bid(&mut net, 1, 0.0), Some((1, 4_000_000)));
+        assert_eq!(net.serving_state(CampaignId::new(0)).spent_micros(), 8_000_000);
     }
 
     #[test]
     fn frequency_cap_applies_per_device() {
         let mut net = AdNetwork::new(vec![radius_campaign(0, 0.0, 5_000.0, 2.0)]);
         net.set_policy(CampaignId::new(0), ServingPolicy::unlimited().with_frequency_cap(1));
-        assert!(net.serve(req(0.0)).is_some());
-        assert!(net.serve(req(0.0)).is_none(), "device 1 is capped");
-        let other = BidRequest {
-            device: DeviceId::new(2),
-            location: Point::ORIGIN,
-            timestamp: 0,
-        };
-        assert!(net.serve(other).is_some(), "other devices still served");
+        assert_eq!(bid(&mut net, 1, 0.0), Some((0, 2_000_000)));
+        assert_eq!(bid(&mut net, 1, 0.0), None, "device 1 is capped");
+        assert_eq!(bid(&mut net, 2, 0.0), Some((0, 2_000_000)), "other devices still served");
         assert_eq!(net.serving_state(CampaignId::new(0)).total_impressions(), 2);
     }
 
     #[test]
-    fn serve_exchange_mirrors_the_legacy_auction() {
-        use privlocad_openrtb::{DeviceId as Did, Geo};
+    fn serve_exchange_echoes_the_request_and_charges_the_ledger() {
         let mut net = AdNetwork::new(vec![
             radius_campaign(0, 0.0, 5_000.0, 8.0),
             radius_campaign(1, 0.0, 5_000.0, 5.0),
         ]);
-        let request =
-            privlocad_openrtb::BidRequest::new(Did::new(1), 0, Geo { x: 100.0, y: 0.0 });
+        let request = BidRequest::new(DeviceId::new(1), 0, Geo { x: 100.0, y: 0.0 });
         let response = net.serve_exchange(&request);
         assert_eq!(response.id, request.id);
         let sb = response.seatbid.unwrap();
@@ -405,10 +307,7 @@ mod tests {
         assert_eq!(sb.bid.price_micros, 5_000_000, "pays the second price in micros");
         assert_eq!(net.serving_state(CampaignId::new(0)).total_impressions(), 1);
         assert_eq!(net.serving_state(CampaignId::new(0)).spent_micros(), 5_000_000);
-        let far =
-            privlocad_openrtb::BidRequest::new(Did::new(1), 1, Geo { x: 50_000.0, y: 0.0 });
-        assert!(!net.serve_exchange(&far).is_win(), "out of radius is a no-bid");
-        assert!(net.log().is_empty(), "the exchange path never appends the legacy log");
+        assert_eq!(bid(&mut net, 1, 50_000.0), None, "out of radius is a no-bid");
     }
 
     #[test]
@@ -421,12 +320,12 @@ mod tests {
         ]);
         net.set_policy(CampaignId::new(0), ServingPolicy::unlimited().with_budget(4.0));
         net.set_policy(CampaignId::new(7), ServingPolicy::unlimited().with_frequency_cap(1));
-        assert_eq!(net.serve(req(0.0)).unwrap().winner.id().raw(), 0);
+        assert_eq!(bid(&mut net, 1, 0.0), Some((0, 4_000_000)));
         // Campaign 0 is now out of budget: its lane is closed, and the
         // rebuilt lanes must agree.
-        let restored = round_trip(&net);
+        let mut restored = round_trip(&net);
         assert_eq!(restored, net);
-        assert_eq!(restored.auction(&req(0.0)).unwrap().winner.id().raw(), 1);
+        assert_eq!(bid(&mut restored, 1, 0.0), Some((1, 4_000_000)));
     }
 
     #[test]

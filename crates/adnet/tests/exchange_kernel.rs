@@ -254,20 +254,6 @@ fn run(seed: u64) {
                 let request = BidRequest::new(DeviceId::new(*device), *seq, Geo::from_point(*at));
                 *seq += 1;
                 let frame = request.encode();
-                // The non-mutating auction picks what the oracle picks.
-                let legacy = privlocad_adnet::BidRequest {
-                    device: DeviceId::new(*device),
-                    location: *at,
-                    timestamp: 0,
-                };
-                let expected =
-                    oracle.auction(*at, *device).map(|(w, p)| (w.clone(), p.bid_micros()));
-                let outcome = exchange.network().auction(&legacy);
-                assert_eq!(
-                    outcome.map(|o| (o.winner, (o.price * 1e6).round() as u64)),
-                    expected,
-                    "seed {seed}: auction at {at:?}"
-                );
                 let want = oracle.serve(&request, &frame);
                 let pending =
                     PendingBid { device: DeviceId::new(*device), seq: request.seq, frame };
@@ -295,7 +281,6 @@ fn run(seed: u64) {
     assert_ledgers_agree(exchange.network(), &oracle);
     assert_eq!(exchange.log().digest(), oracle.log.digest(), "seed {seed}: log digest");
     assert_eq!(exchange.log().len(), oracle.log.len());
-    assert!(exchange.network().log().is_empty(), "the exchange never appends the legacy log");
 }
 
 proptest! {

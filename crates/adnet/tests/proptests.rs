@@ -1,9 +1,8 @@
 //! Property-based tests for the advertising substrate.
 
-use privlocad_adnet::{
-    AdNetwork, BidRequest, Campaign, DeviceId, Targeting,
-};
+use privlocad_adnet::{AdNetwork, Campaign, DeviceId, Targeting};
 use privlocad_geo::Point;
+use privlocad_openrtb::{BidRequest, Geo};
 use proptest::prelude::*;
 
 fn point() -> impl Strategy<Value = Point> {
@@ -29,43 +28,23 @@ fn inventory() -> impl Strategy<Value = Vec<Campaign>> {
 
 proptest! {
     #[test]
-    fn wire_round_trip(device in any::<u64>(), x in -1e7..1e7f64, y in -1e7..1e7f64, t in 0i64..1_000_000_000) {
-        let req = BidRequest {
-            device: DeviceId::new(device),
-            location: Point::new(x, y),
-            timestamp: t,
-        };
-        prop_assert_eq!(BidRequest::decode(&req.encode()).unwrap(), req);
-    }
-
-    #[test]
     fn auction_winner_has_max_bid_among_matches(ads in inventory(), loc in point()) {
-        let net = AdNetwork::new(ads);
-        let req = BidRequest { device: DeviceId::new(1), location: loc, timestamp: 0 };
-        let matched = net.matching(loc);
-        match net.auction(&req) {
+        let mut net = AdNetwork::new(ads.clone());
+        let matched: Vec<u64> = net.matching(loc).iter().map(|c| c.bid_micros()).collect();
+        let request = BidRequest::new(DeviceId::new(1), 0, Geo::from_point(loc));
+        match net.serve_exchange(&request).seatbid {
             None => prop_assert!(matched.is_empty()),
-            Some(outcome) => {
-                prop_assert!(outcome.winner.matches(loc, 0, 0));
-                let max_bid = matched.iter().map(|c| c.bid_cpm()).fold(f64::MIN, f64::max);
-                prop_assert!((outcome.winner.bid_cpm() - max_bid).abs() < 1e-12);
+            Some(win) => {
+                // Inventory ids are positions, so the seat names the winner.
+                let winner = &ads[win.seat as usize];
+                prop_assert!(winner.matches(loc, 0, 0));
+                prop_assert_eq!(Some(winner.bid_micros()), matched.iter().copied().max());
                 // Second-price: clearing price never exceeds the winning bid
                 // and is at least the lowest matching bid.
-                prop_assert!(outcome.price <= outcome.winner.bid_cpm() + 1e-12);
-                let min_bid = matched.iter().map(|c| c.bid_cpm()).fold(f64::MAX, f64::min);
-                prop_assert!(outcome.price >= min_bid - 1e-12);
+                prop_assert!(win.bid.price_micros <= winner.bid_micros());
+                prop_assert!(Some(win.bid.price_micros) >= matched.iter().copied().min());
             }
         }
-    }
-
-    #[test]
-    fn serve_always_logs(ads in inventory(), locs in proptest::collection::vec(point(), 1..20)) {
-        let mut net = AdNetwork::new(ads);
-        for (i, &loc) in locs.iter().enumerate() {
-            net.serve(BidRequest { device: DeviceId::new(7), location: loc, timestamp: i as i64 });
-        }
-        prop_assert_eq!(net.log().len(), locs.len());
-        prop_assert_eq!(net.log().locations_of(DeviceId::new(7)).len(), locs.len());
     }
 
     #[test]

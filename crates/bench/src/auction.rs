@@ -20,9 +20,10 @@
 //! 2. **Fault invariance** — a run with seeded worker kills on every shard
 //!    settles the same digest: emission sits in the commit phase, so a
 //!    killed batch never half-emits and a retried batch emits exactly once.
-//! 3. **Attack parity** — Algorithm 1 run off the live exchange log is as
-//!    (un)successful as the synthetic [`LbaSimulation`] path it replaces;
-//!    both columns land in the defense regime.
+//! 3. **Attack parity** — Algorithm 1 run off the live fleet's exchange
+//!    log is as (un)successful as off the single-device [`LbaSimulation`]'s
+//!    (which bids through the same sink and exchange); both columns land
+//!    in the defense regime.
 //! 4. **Codec overhead** — decoding a bid request from its wire frame
 //!    costs < 10 % of one request through the live serving loop (wire
 //!    decode → batched serve → commit-phase checkpoint capture → response

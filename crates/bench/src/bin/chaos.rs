@@ -29,7 +29,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use privlocad_bench::chaos::{self, ChaosRow, Config};
-use privlocad_lint::json::{parse, render, validate_bench_report, Json};
+use privlocad_bench::log;
+use privlocad_lint::json::Json;
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -87,53 +88,17 @@ fn row_to_json(row: &ChaosRow) -> Json {
     Json::Obj(obj)
 }
 
-/// Loads the benchmark log (or starts a fresh one), drops any stale
-/// `chaos/...` rows, appends the new rows, and returns the merged document.
+/// Merges the scenario rows and their telemetry hubs (metrics plus
+/// privacy-budget ledger, keyed by row name) into the benchmark log,
+/// replacing any earlier `chaos/...` rows and hubs.
 fn merge_log(existing: Option<&str>, opts: &Options, rows: &[ChaosRow]) -> Result<Json, String> {
-    let mut doc = match existing {
-        Some(text) => parse(text)?,
-        None => {
-            let mut obj = BTreeMap::new();
-            obj.insert("experiment".to_owned(), Json::Str("chaos".to_owned()));
-            obj.insert("seed".to_owned(), Json::Num(opts.config.seed as f64));
-            obj.insert("threads".to_owned(), Json::Num(opts.config.threads as f64));
-            obj.insert("runs".to_owned(), Json::Arr(Vec::new()));
-            Json::Obj(obj)
-        }
-    };
-    let Json::Obj(obj) = &mut doc else {
-        return Err("benchmark log root is not an object".to_owned());
-    };
-    let Some(Json::Arr(runs)) = obj.get_mut("runs") else {
-        return Err("benchmark log has no `runs` array".to_owned());
-    };
-    runs.retain(|run| {
-        !matches!(run.get("name").and_then(Json::as_str), Some(n) if n.starts_with("chaos/"))
-    });
-    runs.extend(rows.iter().map(row_to_json));
-    // Publish each scenario hub (metrics + privacy-budget ledger) under the
-    // top-level `telemetry` section, keyed by row name, replacing any stale
-    // `chaos/...` entries the same way the rows themselves are replaced.
-    let telemetry = obj.entry("telemetry".to_owned()).or_insert_with(|| Json::Obj(BTreeMap::new()));
-    let Json::Obj(sections) = telemetry else {
-        return Err("benchmark log `telemetry` is not an object".to_owned());
-    };
-    sections.retain(|name, _| !name.starts_with("chaos/"));
-    for row in rows {
-        sections.insert(row.name.clone(), parse(&row.telemetry.to_json())?);
-    }
-    Ok(doc)
-}
-
-fn write_log(opts: &Options, rows: &[ChaosRow]) -> Result<(), String> {
-    let existing = std::fs::read_to_string(&opts.bench_json).ok();
-    let doc = merge_log(existing.as_deref(), opts, rows)?;
-    let text = render(&doc);
-    validate_bench_report(&text)?;
-    std::fs::write(&opts.bench_json, &text)
-        .map_err(|e| format!("cannot write {}: {e}", opts.bench_json.display()))?;
-    println!("[bench] wrote {}", opts.bench_json.display());
-    Ok(())
+    log::merge(
+        existing,
+        log::header("chaos", opts.config.seed, opts.config.threads),
+        |name| name.starts_with("chaos/"),
+        rows.iter().map(row_to_json).collect(),
+        rows.iter().map(|row| (row.name.clone(), row.telemetry.to_json())).collect(),
+    )
 }
 
 fn main() -> ExitCode {
@@ -155,7 +120,7 @@ fn main() -> ExitCode {
     );
     let spends: u64 = out.rows.iter().map(|r| r.telemetry.ledger().totals().candidate_sets).sum();
     println!("privacy ledger audit: {spends} candidate-set spends recorded, zero double-spends");
-    if let Err(e) = write_log(&opts, &out.rows) {
+    if let Err(e) = log::write(&opts.bench_json, |existing| merge_log(existing, &opts, &out.rows)) {
         eprintln!("[bench] {e}");
         return ExitCode::FAILURE;
     }
@@ -165,6 +130,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privlocad_lint::json::{render, validate_bench_report};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()

@@ -23,7 +23,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use privlocad_bench::candgen::{self, CandidateRow, Config};
-use privlocad_lint::json::{parse, render, validate_bench_report, Json};
+use privlocad_bench::log;
+use privlocad_lint::json::Json;
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -75,58 +76,22 @@ fn row_to_json(row: &CandidateRow) -> Json {
     Json::Obj(obj)
 }
 
-/// Loads the benchmark log (or starts a fresh one), drops any stale
-/// `candidate_install/...` rows, appends the new rows plus the install
-/// telemetry hub, and returns the merged document.
+/// Merges the `candidate_install/...` rows and the install telemetry hub
+/// into the benchmark log, replacing any earlier `candidate_install/...`
+/// rows.
 fn merge_log(
     existing: Option<&str>,
     opts: &Options,
     rows: &[CandidateRow],
     telemetry_json: &str,
 ) -> Result<Json, String> {
-    let mut doc = match existing {
-        Some(text) => parse(text)?,
-        None => {
-            let mut obj = BTreeMap::new();
-            obj.insert("experiment".to_owned(), Json::Str("microbench".to_owned()));
-            obj.insert("seed".to_owned(), Json::Num(opts.config.seed as f64));
-            obj.insert("threads".to_owned(), Json::Num(1.0));
-            obj.insert("runs".to_owned(), Json::Arr(Vec::new()));
-            Json::Obj(obj)
-        }
-    };
-    let Json::Obj(obj) = &mut doc else {
-        return Err("benchmark log root is not an object".to_owned());
-    };
-    let Some(Json::Arr(runs)) = obj.get_mut("runs") else {
-        return Err("benchmark log has no `runs` array".to_owned());
-    };
-    runs.retain(|run| {
-        !matches!(
-            run.get("name").and_then(Json::as_str),
-            Some(n) if n.starts_with("candidate_install/")
-        )
-    });
-    runs.extend(rows.iter().map(row_to_json));
-    // Publish the install-path hub under the top-level `telemetry` section,
-    // replacing any stale `candidate_install` entry.
-    let telemetry = obj.entry("telemetry".to_owned()).or_insert_with(|| Json::Obj(BTreeMap::new()));
-    let Json::Obj(sections) = telemetry else {
-        return Err("benchmark log `telemetry` is not an object".to_owned());
-    };
-    sections.insert("candidate_install".to_owned(), parse(telemetry_json)?);
-    Ok(doc)
-}
-
-fn write_log(opts: &Options, rows: &[CandidateRow], telemetry_json: &str) -> Result<(), String> {
-    let existing = std::fs::read_to_string(&opts.bench_json).ok();
-    let doc = merge_log(existing.as_deref(), opts, rows, telemetry_json)?;
-    let text = render(&doc);
-    validate_bench_report(&text)?;
-    std::fs::write(&opts.bench_json, &text)
-        .map_err(|e| format!("cannot write {}: {e}", opts.bench_json.display()))?;
-    println!("[bench] wrote {}", opts.bench_json.display());
-    Ok(())
+    log::merge(
+        existing,
+        log::header("microbench", opts.config.seed, 1),
+        |name| name.starts_with("candidate_install/"),
+        rows.iter().map(row_to_json).collect(),
+        vec![("candidate_install".to_owned(), telemetry_json.to_owned())],
+    )
 }
 
 fn main() -> ExitCode {
@@ -157,7 +122,10 @@ fn main() -> ExitCode {
         "telemetry: {fresh} fresh candidate sets, {spends} ledger spends over the \
          install profile"
     );
-    if let Err(e) = write_log(&opts, &out.rows, &out.telemetry.to_json()) {
+    let telemetry = out.telemetry.to_json();
+    if let Err(e) =
+        log::write(&opts.bench_json, |existing| merge_log(existing, &opts, &out.rows, &telemetry))
+    {
         eprintln!("[bench] {e}");
         return ExitCode::FAILURE;
     }
@@ -167,6 +135,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privlocad_lint::json::{render, validate_bench_report};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()

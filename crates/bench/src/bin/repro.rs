@@ -36,12 +36,14 @@
 //!                    (default BENCH_repro.json in the working directory)
 //! ```
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use privlocad_bench::report::Table;
-use privlocad_bench::{fig2, fig3, fig4, fig6, fig7, fig8, fig9, tables, verify};
+use privlocad_bench::{fig2, fig3, fig4, fig6, fig7, fig8, fig9, log, tables, verify};
+use privlocad_lint::json::Json;
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -150,39 +152,27 @@ impl BenchLog {
         });
     }
 
-    fn to_json(&self, opts: &Options) -> String {
-        fn opt(v: Option<usize>) -> String {
-            v.map_or_else(|| "null".to_string(), |n| n.to_string())
-        }
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"experiment\": \"{}\",\n", opts.experiment));
-        out.push_str(&format!("  \"seed\": {},\n", opts.seed));
-        out.push_str(&format!("  \"threads\": {},\n", opts.threads));
-        out.push_str("  \"runs\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"threads\": {}, \
-                 \"users\": {}, \"trials\": {}}}{}\n",
-                e.name,
-                e.wall_ms,
-                opts.threads,
-                opt(e.users),
-                opt(e.trials),
-                if i + 1 < self.entries.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    fn write(&self, opts: &Options) {
-        let json = self.to_json(opts);
-        match std::fs::write(&opts.bench_json, &json) {
-            Ok(()) => println!("[bench] wrote {}", opts.bench_json.display()),
-            Err(e) => {
-                eprintln!("[bench] failed to write {}: {e}", opts.bench_json.display())
-            }
-        }
+    /// Merges this run's rows into the benchmark log, replacing only
+    /// earlier rows of the same experiments: rows other binaries wrote
+    /// (`serve/...`, `auction/...`, ...) survive.
+    fn merge(&self, existing: Option<&str>, opts: &Options) -> Result<Json, String> {
+        let count = |v: Option<usize>| v.map_or(Json::Null, |n| Json::Num(n as f64));
+        let rows = self.entries.iter().map(|e| {
+            let mut row = BTreeMap::new();
+            row.insert("name".to_owned(), Json::Str(e.name.clone()));
+            row.insert("wall_ms".to_owned(), Json::Num(e.wall_ms));
+            row.insert("threads".to_owned(), Json::Num(opts.threads as f64));
+            row.insert("users".to_owned(), count(e.users));
+            row.insert("trials".to_owned(), count(e.trials));
+            Json::Obj(row)
+        });
+        log::merge(
+            existing,
+            log::header(&opts.experiment, opts.seed, opts.threads),
+            |name| self.entries.iter().any(|e| e.name == name),
+            rows.collect(),
+            Vec::new(),
+        )
     }
 }
 
@@ -368,7 +358,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    log.write(&opts);
+    // The bench log is auxiliary telemetry, not part of the experiment: a
+    // failed write warns but does not fail the run.
+    let written =
+        privlocad_bench::log::write(&opts.bench_json, |existing| log.merge(existing, &opts));
+    if let Err(e) = written {
+        eprintln!("[bench] failed to write {}: {e}", opts.bench_json.display());
+    }
     ExitCode::SUCCESS
 }
 
@@ -427,21 +423,34 @@ mod tests {
     }
 
     #[test]
-    fn bench_log_renders_json() {
+    fn bench_log_merge_keeps_other_binaries_rows() {
+        let existing = r#"{"experiment": "serve", "seed": 0, "threads": 2, "runs": [
+            {"name": "serve/legacy_single", "wall_ms": 5.0, "requests_per_sec": 1.0,
+             "batch": 1, "threads": 1},
+            {"name": "fig7", "wall_ms": 1.0, "threads": 2, "users": null, "trials": 9},
+            {"name": "auction/exchange", "wall_ms": 1.0, "auctions_per_sec": 1.0,
+             "decode_ns_per_req": 1.0, "serve_overhead_pct": 1.0, "revenue_micros": 1,
+             "attack_success_live": 0.5, "attack_success_synthetic": 0.5,
+             "users": 1, "requests": 1, "shards": 1, "digest": "aa"}
+        ]}"#;
         let mut log = BenchLog::default();
         log.timed("fig7", || (None, Some(100)));
         log.timed("table2", || (Some(500), None));
         let opts = parse(&args("all --seed 3 --threads 2")).unwrap();
-        let json = log.to_json(&opts);
-        assert!(json.contains("\"experiment\": \"all\""));
-        assert!(json.contains("\"seed\": 3"));
-        assert!(json.contains("\"threads\": 2"));
-        assert!(json.contains("\"name\": \"fig7\""));
-        assert!(json.contains("\"trials\": 100"));
-        assert!(json.contains("\"users\": 500"));
-        assert!(json.contains("\"trials\": null"));
-        // Exactly one trailing comma between the two runs.
-        assert_eq!(json.matches("},\n").count(), 1);
-        assert!(json.trim_end().ends_with('}'));
+        let doc = log.merge(Some(existing), &opts).unwrap();
+        let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
+        let names: Vec<_> =
+            runs.iter().filter_map(|r| r.get("name").and_then(Json::as_str)).collect();
+        assert_eq!(names, ["serve/legacy_single", "auction/exchange", "fig7", "table2"]);
+        assert_eq!(runs[2].get("trials").and_then(Json::as_num), Some(100.0));
+        assert_eq!(runs[3].get("users").and_then(Json::as_num), Some(500.0));
+        assert_eq!(runs[3].get("trials"), Some(&Json::Null));
+        privlocad_lint::json::validate_bench_report(&privlocad_lint::json::render(&doc))
+            .expect("merged log must validate");
+
+        // A fresh log carries this run's header.
+        let fresh = log.merge(None, &opts).unwrap();
+        assert_eq!(fresh.get("experiment").and_then(Json::as_str), Some("all"));
+        assert_eq!(fresh.get("seed").and_then(Json::as_num), Some(3.0));
     }
 }

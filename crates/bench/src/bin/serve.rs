@@ -26,7 +26,8 @@ use std::process::ExitCode;
 
 use privlocad_bench::scale::{self, ScaleRow};
 use privlocad_bench::serve::{self, Config, ServeRow};
-use privlocad_lint::json::{parse, render, validate_bench_report, Json};
+use privlocad_bench::log;
+use privlocad_lint::json::Json;
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -97,9 +98,9 @@ fn scale_row_to_json(row: &ScaleRow) -> Json {
     Json::Obj(obj)
 }
 
-/// Loads the benchmark log (or starts a fresh one), drops any stale
-/// `serve/...` rows, appends the new rows plus the serving-path telemetry
-/// hub (rendered by the deterministic pass), and returns the merged document.
+/// Merges the `serve/...` rows and the serving-path telemetry hub
+/// (rendered by the deterministic pass) into the benchmark log, replacing
+/// any earlier `serve/...` rows.
 fn merge_log(
     existing: Option<&str>,
     opts: &Options,
@@ -107,52 +108,13 @@ fn merge_log(
     scale_rows: &[ScaleRow],
     telemetry_json: &str,
 ) -> Result<Json, String> {
-    let mut doc = match existing {
-        Some(text) => parse(text)?,
-        None => {
-            let mut obj = BTreeMap::new();
-            obj.insert("experiment".to_owned(), Json::Str("serve".to_owned()));
-            obj.insert("seed".to_owned(), Json::Num(opts.config.seed as f64));
-            obj.insert("threads".to_owned(), Json::Num(opts.config.threads as f64));
-            obj.insert("runs".to_owned(), Json::Arr(Vec::new()));
-            Json::Obj(obj)
-        }
-    };
-    let Json::Obj(obj) = &mut doc else {
-        return Err("benchmark log root is not an object".to_owned());
-    };
-    let Some(Json::Arr(runs)) = obj.get_mut("runs") else {
-        return Err("benchmark log has no `runs` array".to_owned());
-    };
-    runs.retain(|run| {
-        !matches!(run.get("name").and_then(Json::as_str), Some(n) if n.starts_with("serve/"))
-    });
-    runs.extend(rows.iter().map(row_to_json));
-    runs.extend(scale_rows.iter().map(scale_row_to_json));
-    // Publish the serving-path hub (metrics + privacy-budget ledger) under
-    // the top-level `telemetry` section, replacing any stale `serve` entry.
-    let telemetry = obj.entry("telemetry".to_owned()).or_insert_with(|| Json::Obj(BTreeMap::new()));
-    let Json::Obj(sections) = telemetry else {
-        return Err("benchmark log `telemetry` is not an object".to_owned());
-    };
-    sections.insert("serve".to_owned(), parse(telemetry_json)?);
-    Ok(doc)
-}
-
-fn write_log(
-    opts: &Options,
-    rows: &[ServeRow],
-    scale_rows: &[ScaleRow],
-    telemetry_json: &str,
-) -> Result<(), String> {
-    let existing = std::fs::read_to_string(&opts.bench_json).ok();
-    let doc = merge_log(existing.as_deref(), opts, rows, scale_rows, telemetry_json)?;
-    let text = render(&doc);
-    validate_bench_report(&text)?;
-    std::fs::write(&opts.bench_json, &text)
-        .map_err(|e| format!("cannot write {}: {e}", opts.bench_json.display()))?;
-    println!("[bench] wrote {}", opts.bench_json.display());
-    Ok(())
+    log::merge(
+        existing,
+        log::header("serve", opts.config.seed, opts.config.threads),
+        |name| name.starts_with("serve/"),
+        rows.iter().map(row_to_json).chain(scale_rows.iter().map(scale_row_to_json)).collect(),
+        vec![("serve".to_owned(), telemetry_json.to_owned())],
+    )
 }
 
 fn main() -> ExitCode {
@@ -178,7 +140,10 @@ fn main() -> ExitCode {
     println!("telemetry: posterior cache {hits} hits / {misses} misses over the serving profile");
     let scale_out = scale::run(&opts.scale);
     print!("\n{}", scale_out.table().render());
-    if let Err(e) = write_log(&opts, &out.rows, &scale_out.rows, &out.telemetry.to_json()) {
+    let telemetry = out.telemetry.to_json();
+    if let Err(e) = log::write(&opts.bench_json, |existing| {
+        merge_log(existing, &opts, &out.rows, &scale_out.rows, &telemetry)
+    }) {
         eprintln!("[bench] {e}");
         return ExitCode::FAILURE;
     }
@@ -188,6 +153,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use privlocad_lint::json::{render, validate_bench_report};
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()

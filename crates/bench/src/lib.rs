@@ -29,6 +29,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod log;
 pub mod microbench;
 pub mod report;
 pub mod scale;

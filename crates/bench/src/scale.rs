@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use privlocad::protocol::ClientRequest;
 use privlocad::{EdgeDevice, ShardRouter, SystemConfig};
+use privlocad_geo::rng::{fnv1a64, fnv1a64_extend};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
 
@@ -121,23 +122,12 @@ fn home_of(user: usize) -> Point {
     Point::new((user % 1_000) as f64 * 2_000.0, (user / 1_000) as f64 * 2_000.0)
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// One user's contribution to the stage digest: FNV-1a over the user id
 /// and the raw bits of the reported location.
 fn user_digest(user: u32, report: Point) -> u64 {
-    let mut hash = fnv1a(FNV_OFFSET, &user.to_le_bytes());
-    hash = fnv1a(hash, &report.x.to_bits().to_le_bytes());
-    fnv1a(hash, &report.y.to_bits().to_le_bytes())
+    let mut hash = fnv1a64(&user.to_le_bytes());
+    hash = fnv1a64_extend(hash, &report.x.to_bits().to_le_bytes());
+    fnv1a64_extend(hash, &report.y.to_bits().to_le_bytes())
 }
 
 /// Settles every user of `shard` (ids ≡ shard mod shards, below `size`)

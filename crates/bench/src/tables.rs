@@ -18,6 +18,7 @@
 use std::time::Instant;
 
 use privlocad::{SharedEdgeDevice, SystemConfig};
+use privlocad_geo::rng::{fnv1a64_extend, FNV1A64_OFFSET};
 use privlocad_geo::Point;
 use privlocad_metrics::montecarlo::Fanout;
 use privlocad_mobility::{PopulationConfig, UserId, SECONDS_PER_DAY};
@@ -71,17 +72,9 @@ pub struct Outcome {
     pub digest: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(mut hash: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
-        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 fn fnv1a_point(hash: u64, p: Point) -> u64 {
-    fnv1a(fnv1a(hash, p.x.to_bits()), p.y.to_bits())
+    let hash = fnv1a64_extend(hash, &p.x.to_bits().to_le_bytes());
+    fnv1a64_extend(hash, &p.y.to_bits().to_le_bytes())
 }
 
 /// Table II: profile building + candidate generation for every user.
@@ -101,7 +94,7 @@ pub fn run_table2(config: &Config) -> Outcome {
     let window_secs = sys.window_days() as i64 * SECONDS_PER_DAY;
     let fan = Fanout::with_threads(config.seed, config.threads);
 
-    let mut digest = FNV_OFFSET;
+    let mut digest = FNV1A64_OFFSET;
     let rows = config
         .user_counts
         .iter()
@@ -130,7 +123,7 @@ pub fn run_table2(config: &Config) -> Outcome {
             // Fold each user's candidate set into the determinism digest
             // (untimed; pure reads).
             let subs: Vec<u64> = fan.map(&indices, |i, &u| {
-                let mut h = FNV_OFFSET;
+                let mut h = FNV1A64_OFFSET;
                 if let Some(&first) = windows[i].first() {
                     if let Some(candidates) = edge.candidates(UserId::new(u), first) {
                         for c in candidates {
@@ -141,7 +134,7 @@ pub fn run_table2(config: &Config) -> Outcome {
                 h
             });
             for s in subs {
-                digest = fnv1a(digest, s);
+                digest = fnv1a64_extend(digest, &s.to_le_bytes());
             }
             Row { users: count, millis }
         })
@@ -175,7 +168,7 @@ pub fn run_table3(config: &Config) -> Outcome {
     // A distinct stream for the request phase so selections do not replay
     // the preparation draws.
     let request_fan = fan.reseeded(config.seed.wrapping_add(0x9e37_79b9));
-    let mut digest = FNV_OFFSET;
+    let mut digest = FNV1A64_OFFSET;
     let rows = config
         .user_counts
         .iter()

@@ -12,6 +12,7 @@
 use privlocad::protocol::ClientRequest;
 use privlocad::{FaultPlan, ServerOptions, ShardRouter, SystemConfig};
 use privlocad_bench::scale::user_workload;
+use privlocad_geo::rng::{fnv1a64, fnv1a64_extend};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
 use privlocad_telemetry::{top_key, Telemetry, TopKey};
@@ -20,24 +21,14 @@ const USERS: u32 = 48;
 const CHECKINS: usize = 6;
 const MASTER: u64 = 7;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// One user's contribution: id plus every reported coordinate, in the
 /// user's own operation order. XOR-folding the per-user hashes makes the
 /// fleet digest insensitive to how users interleave across shards.
 fn user_digest(user: u32, reports: &[Point]) -> u64 {
-    let mut hash = fnv1a(FNV_OFFSET, &user.to_le_bytes());
+    let mut hash = fnv1a64(&user.to_le_bytes());
     for report in reports {
-        hash = fnv1a(hash, &report.x.to_bits().to_le_bytes());
-        hash = fnv1a(hash, &report.y.to_bits().to_le_bytes());
+        hash = fnv1a64_extend(hash, &report.x.to_bits().to_le_bytes());
+        hash = fnv1a64_extend(hash, &report.y.to_bits().to_le_bytes());
     }
     hash
 }

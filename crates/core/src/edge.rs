@@ -2,11 +2,12 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use privlocad_adnet::{AdNetwork, AuctionOutcome, BidRequest, Campaign, DeviceId};
-use privlocad_geo::rng::{derive_seed, seeded};
+use privlocad_adnet::{BidExchange, Campaign, DeviceId};
+use privlocad_geo::rng::{derive_seed, fnv1a64, seeded};
 use privlocad_geo::Point;
 use privlocad_mechanisms::{PlanarLaplace, PosteriorTable};
 use privlocad_mobility::UserId;
+use privlocad_openrtb::{BidResponse, BidSink, Geo};
 use rand::rngs::StdRng;
 
 use privlocad_telemetry::{top_key, Determinism, SpendEvent, SpendKind, Telemetry};
@@ -40,9 +41,9 @@ fn user_stream(streams: StreamMode, user: UserId) -> Option<StdRng> {
 pub struct AdDelivery {
     /// The obfuscated location that was reported to the ad network.
     pub reported: Point,
-    /// The auction outcome at the ad network, if any campaign matched the
-    /// reported location.
-    pub auction: Option<AuctionOutcome>,
+    /// The exchange's response to the bid request carrying `reported`: a
+    /// win names the winning campaign (`seat`) and its second price.
+    pub auction: BidResponse,
     /// Ads that survived the edge's AOI filter — what the user actually
     /// sees.
     pub delivered: Vec<Campaign>,
@@ -444,14 +445,7 @@ impl EdgeDevice {
     /// devices with equal digests would resume identically; the chaos
     /// harness compares faulty against fault-free runs with it.
     pub fn state_digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        for byte in self.checkpoint().iter() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        hash
+        fnv1a64(&self.checkpoint())
     }
 
     /// Rebuilds a device from a checkpoint. The restored device continues
@@ -663,25 +657,26 @@ impl EdgeDevice {
     }
 
     /// Serves one end-to-end ad request: selects the reported location,
-    /// forwards a bid request to the ad network (which logs it — the
-    /// longitudinal attacker's feed), and filters the matching ads down to
-    /// the user's true area of interest.
+    /// submits it to `sink` as an OpenRTB-lite bid request, settles it
+    /// through `exchange` (whose log is the longitudinal attacker's feed),
+    /// and filters the matching ads down to the user's true area of
+    /// interest. Submit and pump are the same two calls the serving fleet
+    /// makes; the pump also settles anything else pending in `sink`.
     pub fn request_ads(
         &mut self,
         user: UserId,
         current_true: Point,
-        timestamp: i64,
-        network: &mut AdNetwork,
+        sink: &BidSink,
+        exchange: &mut BidExchange,
     ) -> AdDelivery {
         let reported = self.reported_location(user, current_true);
-        let request = BidRequest {
-            device: DeviceId::new(user.raw() as u64),
-            location: reported,
-            timestamp,
-        };
-        let auction = network.serve(request);
+        let device = DeviceId::new(u64::from(user.raw()));
+        let seq = sink.submit(device, Geo::from_point(reported));
+        let settled = exchange.pump(sink).ok().and_then(|_| exchange.log().get(device, seq));
+        // lint:allow(panic-hygiene): provably infallible — `submit` just encoded this frame and the pump settles every pending frame under its (device, seq) key
+        let auction = settled.expect("a submitted request settles on the next pump").response;
         let delivered = filter_ads_by(
-            network.matching(reported),
+            exchange.network().matching(reported),
             current_true,
             self.config.targeting_radius_m(),
         )
@@ -695,7 +690,7 @@ impl EdgeDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use privlocad_adnet::Targeting;
+    use privlocad_adnet::{AdNetwork, Targeting};
     use privlocad_mechanisms::{NFoldGaussian, PosteriorSelector};
 
     use crate::SelectionKind;
@@ -808,7 +803,8 @@ mod tests {
         let home = Point::new(0.0, 0.0);
         settle_home(&mut e, user, home);
         // One campaign right at home, one far outside any plausible AOR.
-        let mut network = AdNetwork::new(vec![
+        let sink = BidSink::new();
+        let mut exchange = BidExchange::new(AdNetwork::new(vec![
             Campaign::new(
                 0u64,
                 "local",
@@ -823,10 +819,10 @@ mod tests {
                 9.0,
             )
             .unwrap(),
-        ]);
+        ]));
         let mut saw_local = false;
-        for t in 0..20 {
-            let delivery = e.request_ads(user, home, t, &mut network);
+        for _ in 0..20 {
+            let delivery = e.request_ads(user, home, &sink, &mut exchange);
             // Everything delivered must be inside the true AOI.
             for ad in &delivery.delivered {
                 let loc = ad.business_location().unwrap();
@@ -839,7 +835,7 @@ mod tests {
         assert!(saw_local, "the relevant local ad should be delivered");
         // The bid log recorded only obfuscated candidates, never `home`.
         let device = DeviceId::new(5);
-        let reports = network.log().locations_of(device);
+        let reports = exchange.log().locations_of(device);
         assert_eq!(reports.len(), 20);
         let candidates = e.candidates(user, home).unwrap();
         for r in &reports {

@@ -26,10 +26,10 @@
 //! and user record carried as a length-prefixed frame, decoded by an
 //! in-place slice reader — the only allocations on the decode path are
 //! the final owned state (one `Arc` per **distinct** candidate set, not
-//! one per user record). Version 1 logs (one embedded table image and
-//! private CDF vector per user) remain decodable behind the version
-//! field. Bit rot in persisted state surfaces as a structured
-//! [`RecoveryError`] instead of a corrupted privacy ledger.
+//! one per user record). Any other version is refused with
+//! [`RecoveryError::UnsupportedVersion`]. Bit rot in persisted state
+//! surfaces as a structured [`RecoveryError`] instead of a corrupted
+//! privacy ledger.
 //!
 //! The budget guard lives in [`crate::EdgeDevice::adopt_snapshot`]: a
 //! live device refuses to adopt a snapshot that has *forgotten* any of
@@ -42,6 +42,7 @@ use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use privlocad_attack::{LocationProfile, ProfileEntry};
+use privlocad_geo::rng::fnv1a64;
 use privlocad_geo::Point;
 use privlocad_mechanisms::{PosteriorTable, SelectionCache};
 use privlocad_mobility::UserId;
@@ -53,22 +54,6 @@ use crate::{LocationManager, ObfuscationModule, ObfuscationTable, SystemConfig, 
 const MAGIC: u32 = 0x504C_4144;
 /// Current log format version: pooled, length-prefix-framed.
 const VERSION: u16 = 2;
-/// The original one-table-image-per-user format, still decodable.
-const VERSION_V1: u16 = 1;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over the log body — cheap, dependency-free, and plenty to catch
-/// truncation and bit rot in persisted snapshots.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// How the captured device assigns RNG streams to serving operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -394,7 +379,7 @@ impl CommittedLog {
             buf.put_u32(frame.len() as u32);
             buf.put_slice(frame);
         }
-        let checksum = fnv1a(&buf);
+        let checksum = fnv1a64(&buf);
         buf.put_u64(checksum);
         buf.freeze()
     }
@@ -619,7 +604,7 @@ impl DeviceSnapshot {
                 buf.put_u32(idx);
             }
         }
-        let checksum = fnv1a(&buf);
+        let checksum = fnv1a64(&buf);
         buf.put_u64(checksum);
         buf.freeze()
     }
@@ -642,7 +627,7 @@ impl DeviceSnapshot {
         let stored = u64::from_be_bytes([
             tail[0], tail[1], tail[2], tail[3], tail[4], tail[5], tail[6], tail[7],
         ]);
-        let computed = fnv1a(body);
+        let computed = fnv1a64(body);
         if stored != computed {
             return Err(RecoveryError::ChecksumMismatch { stored, computed });
         }
@@ -654,7 +639,6 @@ impl DeviceSnapshot {
         }
         let version = reader.get_u16()?;
         match version {
-            VERSION_V1 => decode_v1(reader),
             VERSION => decode_v2(reader),
             v => Err(RecoveryError::UnsupportedVersion(v)),
         }
@@ -738,69 +722,6 @@ impl<'a> Reader<'a> {
             Err(RecoveryError::TrailingBytes(self.buf.len()))
         }
     }
-}
-
-/// Decodes the original v1 body (one embedded table image and private
-/// CDF vector per user) into the pooled representation: each user's
-/// payloads are appended to the pools without deduplication — v1 logs
-/// predate cross-user sharing, so there is nothing to share.
-fn decode_v1(mut r: Reader<'_>) -> Result<DeviceSnapshot, RecoveryError> {
-    r.need(4 * 8 + 8 + 4)?;
-    let mut rng_state = [0u64; 4];
-    for word in rng_state.iter_mut() {
-        *word = r.get_u64()?;
-    }
-    let op_counter = r.get_u64()?;
-    let user_count = r.get_u32()? as usize;
-    let mut sets: Vec<Arc<[Point]>> = Vec::new();
-    let mut cdfs: Vec<Vec<f64>> = Vec::new();
-    let mut users = Vec::with_capacity(user_count.min(1_024));
-    for _ in 0..user_count {
-        r.need(12)?;
-        let user = UserId::new(r.get_u32()?);
-        let windows_closed = r.get_u64()?;
-        let buffer = get_points(&mut r)?;
-        let profile = get_entries(&mut r)?;
-        let top_set = get_entries(&mut r)?;
-        let image_len = r.get_u32()? as usize;
-        r.need(image_len)?;
-        let (image, rest) = r.buf.split_at(image_len);
-        r.buf = rest;
-        let decoded = ObfuscationTable::decode(image).map_err(RecoveryError::Table)?;
-        let table_radius = decoded.match_radius_m();
-        let mut table = Vec::with_capacity(decoded.len());
-        for (top, shared) in decoded.shared_entries() {
-            table.push((top, sets.len() as u32));
-            sets.push(Arc::clone(shared));
-        }
-        let table_count = r.get_u32()? as usize;
-        let mut cache = Vec::with_capacity(table_count.min(1_024));
-        for _ in 0..table_count {
-            r.need(20)?;
-            let top = Point::new(r.get_f64()?, r.get_f64()?);
-            let cdf_len = r.get_u32()? as usize;
-            r.need(cdf_len.saturating_mul(8))?;
-            let mut cdf = Vec::with_capacity(cdf_len);
-            for _ in 0..cdf_len {
-                cdf.push(r.get_f64()?);
-            }
-            cache.push((top, cdfs.len() as u32));
-            cdfs.push(cdf);
-        }
-        users.push(UserRecord {
-            user,
-            windows_closed,
-            rng_words: [0; 4],
-            buffer,
-            profile,
-            top_set,
-            table_radius,
-            table,
-            cache,
-        });
-    }
-    r.finish()?;
-    Ok(DeviceSnapshot { rng_state, op_counter, streams: StreamMode::Device, sets, cdfs, users })
 }
 
 /// Decodes the pooled, framed v2 body.
@@ -1136,51 +1057,11 @@ mod tests {
         );
     }
 
-    /// Hand-writes the snapshot in the original v1 layout (embedded
-    /// table image + private CDFs per user) — the compatibility fixture.
-    fn encode_v1(snap: &DeviceSnapshot) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_u32(MAGIC);
-        buf.put_u16(VERSION_V1);
-        for word in snap.rng_state {
-            buf.put_u64(word);
-        }
-        buf.put_u64(snap.op_counter);
-        buf.put_u32(snap.users.len() as u32);
-        for record in &snap.users {
-            buf.put_u32(record.user.raw());
-            buf.put_u64(record.windows_closed);
-            put_points(&mut buf, &record.buffer);
-            put_entries(&mut buf, &record.profile);
-            put_entries(&mut buf, &record.top_set);
-            let mut table = ObfuscationTable::new(record.table_radius);
-            for &(top, idx) in &record.table {
-                table.insert_shared(top, Arc::clone(&snap.sets[idx as usize]));
-            }
-            let image = table.encode();
-            buf.put_u32(image.len() as u32);
-            buf.put_slice(&image);
-            buf.put_u32(record.cache.len() as u32);
-            for &(top, idx) in &record.cache {
-                buf.put_f64(top.x);
-                buf.put_f64(top.y);
-                let cdf = &snap.cdfs[idx as usize];
-                buf.put_u32(cdf.len() as u32);
-                for &w in cdf {
-                    buf.put_f64(w);
-                }
-            }
-        }
-        let checksum = fnv1a(&buf);
-        buf.put_u64(checksum);
-        buf.to_vec()
-    }
-
     /// Corrupt a field, then re-stamp a valid checksum so the defect
     /// reaches the structural check.
     fn restamp(mut body: Vec<u8>) -> Vec<u8> {
         let split = body.len() - 8;
-        let sum = fnv1a(&body[..split]);
+        let sum = fnv1a64(&body[..split]);
         body[split..].copy_from_slice(&sum.to_be_bytes());
         body
     }
@@ -1205,19 +1086,6 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(back.streams, StreamMode::PerUser { master: 0xfeed });
         assert_eq!(back.users[0].rng_words, [9, 8, 7, 6]);
-    }
-
-    #[test]
-    fn v1_log_round_trips_through_the_version_dispatch() {
-        // A snapshot whose pools carry no cross-user sharing and whose
-        // stream mode is the classic device-wide generator decodes from
-        // its v1 image to the *identical* pooled representation.
-        let snap = snapshot();
-        let log = encode_v1(&snap);
-        let back = DeviceSnapshot::decode(&log).unwrap();
-        assert_eq!(back, snap);
-        // And the re-encoded v2 image round-trips again.
-        assert_eq!(DeviceSnapshot::decode(&back.encode()).unwrap(), snap);
     }
 
     #[test]
@@ -1288,12 +1156,16 @@ mod tests {
             DeviceSnapshot::decode(&restamp(bad)),
             Err(RecoveryError::BadMagic(_))
         ));
-        let mut bad = log.clone();
-        bad[5] = 0xEE;
-        assert!(matches!(
-            DeviceSnapshot::decode(&restamp(bad)),
-            Err(RecoveryError::UnsupportedVersion(_))
-        ));
+        // Version 1 (the retired one-table-image-per-user layout) is refused
+        // like any unknown version.
+        for version in [0xEE, 1] {
+            let mut bad = log.clone();
+            bad[5] = version;
+            assert!(matches!(
+                DeviceSnapshot::decode(&restamp(bad)),
+                Err(RecoveryError::UnsupportedVersion(v)) if v == u16::from(version)
+            ));
+        }
         let mut bad = log;
         bad.splice(bad.len() - 8..bad.len() - 8, [0u8]);
         assert!(matches!(

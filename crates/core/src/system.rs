@@ -1,5 +1,6 @@
-use privlocad_adnet::{AdNetwork, BidLog, Campaign, DeviceId};
+use privlocad_adnet::{AdNetwork, BidExchange, Campaign, DeviceId};
 use privlocad_mobility::{UserTrace, SECONDS_PER_DAY};
+use privlocad_openrtb::{BidExchangeLog, BidSink};
 use serde::{Deserialize, Serialize};
 
 use crate::{EdgeDevice, SystemConfig};
@@ -22,14 +23,15 @@ pub struct SimulationReport {
 }
 
 /// An end-to-end LBA deployment: synthetic users drive an [`EdgeDevice`]
-/// which fronts an [`AdNetwork`]; the network's bid log is what a
-/// longitudinal attacker observes.
+/// which bids through a [`BidExchange`] in front of an [`AdNetwork`]; the
+/// exchange log is what a longitudinal attacker observes.
 ///
 /// Replays each user's 2-year trace in time order. Every check-in both
-/// feeds the location-management module and triggers an ad request; the
-/// profile window closes every [`SystemConfig::window_days`] days, after
-/// which top-location requests switch from the one-time nomadic fallback
-/// to permanent candidates.
+/// feeds the location-management module and triggers an ad request,
+/// submitted to a [`BidSink`] and settled by the exchange exactly as the
+/// serving fleet's requests are. The profile window closes every
+/// [`SystemConfig::window_days`] days, after which top-location requests
+/// switch from the one-time nomadic fallback to permanent candidates.
 ///
 /// # Examples
 ///
@@ -47,7 +49,8 @@ pub struct SimulationReport {
 #[derive(Debug)]
 pub struct LbaSimulation {
     edge: EdgeDevice,
-    network: AdNetwork,
+    sink: BidSink,
+    exchange: BidExchange,
     window_days: u32,
 }
 
@@ -57,7 +60,8 @@ impl LbaSimulation {
         LbaSimulation {
             window_days: config.window_days(),
             edge: EdgeDevice::new(config, seed),
-            network: AdNetwork::new(campaigns),
+            sink: BidSink::new(),
+            exchange: BidExchange::new(AdNetwork::new(campaigns)),
         }
     }
 
@@ -71,10 +75,10 @@ impl LbaSimulation {
         &mut self.edge
     }
 
-    /// The ad network's accumulated bid log — the longitudinal attacker's
+    /// The exchange's accumulated bid log — the longitudinal attacker's
     /// observation.
-    pub fn bid_log(&self) -> &BidLog {
-        self.network.log()
+    pub fn bid_log(&self) -> &BidExchangeLog {
+        self.exchange.log()
     }
 
     /// Replays one user's trace end-to-end and reports the outcome.
@@ -96,18 +100,15 @@ impl LbaSimulation {
             let delivery = self.edge.request_ads(
                 trace.user,
                 checkin.location,
-                checkin.time.seconds(),
-                &mut self.network,
+                &self.sink,
+                &mut self.exchange,
             );
             report.requests += 1;
-            report.auctions_won += usize::from(delivery.auction.is_some());
+            report.auctions_won += usize::from(delivery.auction.is_win());
             report.ads_delivered += delivery.delivered.len();
         }
         // Count the distinct locations the network saw for this user.
-        let mut reported = self
-            .network
-            .log()
-            .locations_of(DeviceId::new(trace.user.raw() as u64));
+        let mut reported = self.observed_locations(trace.user.raw());
         reported.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
         reported.dedup();
         report.distinct_reported = reported.len();
@@ -117,7 +118,7 @@ impl LbaSimulation {
     /// The reported-location sequence of one user — exactly what
     /// Algorithm 1 consumes.
     pub fn observed_locations(&self, user: u32) -> Vec<privlocad_geo::Point> {
-        self.network.log().locations_of(DeviceId::new(user as u64))
+        self.exchange.log().locations_of(DeviceId::new(u64::from(user)))
     }
 
     /// Replays every user of a materialized population and returns the
@@ -154,6 +155,57 @@ mod tests {
         assert_eq!(report.requests, user.checkins.len());
         assert_eq!(sim.bid_log().len(), user.checkins.len());
         assert_eq!(sim.observed_locations(0).len(), user.checkins.len());
+    }
+
+    #[test]
+    fn observation_stream_is_the_delivery_stream() {
+        // A routine user whose windows settle during the trace, bidding
+        // into a market where only requests near home can win.
+        let config = SystemConfig::builder().build().unwrap();
+        let user = population(11).generate_user(10);
+        let home = user.truth.top_locations[0];
+        let campaigns = vec![Campaign::new(
+            0u64,
+            "home",
+            privlocad_adnet::Targeting::radius(home, 2_000.0).unwrap(),
+            2.0,
+        )
+        .unwrap()];
+        let mut sim = LbaSimulation::new(config, campaigns.clone(), 8);
+        let report = sim.run_user(&user);
+
+        // The same replay on a twin edge, keeping every delivery.
+        let mut edge = EdgeDevice::new(config, 8);
+        let sink = BidSink::new();
+        let mut exchange = BidExchange::new(AdNetwork::new(campaigns));
+        let window = i64::from(config.window_days()) * SECONDS_PER_DAY;
+        let mut window_end = window;
+        let mut deliveries = Vec::new();
+        for checkin in &user.checkins {
+            while checkin.time.seconds() >= window_end {
+                edge.finalize_window(user.user);
+                window_end += window;
+            }
+            edge.report_checkin(user.user, checkin.location);
+            deliveries.push(edge.request_ads(user.user, checkin.location, &sink, &mut exchange));
+        }
+
+        let reported: Vec<_> = deliveries.iter().map(|d| d.reported).collect();
+        assert_eq!(sim.observed_locations(user.user.raw()), reported);
+        let device = DeviceId::new(u64::from(user.user.raw()));
+        let logged_wins = sim
+            .bid_log()
+            .records()
+            .filter(|r| r.request.device.id == device && r.response.is_win())
+            .count();
+        assert_eq!(report.auctions_won, logged_wins);
+        assert_eq!(report.auctions_won, deliveries.iter().filter(|d| d.auction.is_win()).count());
+        assert!(
+            0 < report.auctions_won && report.auctions_won < report.requests,
+            "{} wins of {} requests",
+            report.auctions_won,
+            report.requests
+        );
     }
 
     #[test]
@@ -206,8 +258,6 @@ mod tests {
         let err = inferred[0].location.distance(user.truth.top_locations[0]);
         assert!(err > 200.0, "attack recovered the top location to {err} m");
     }
-
-
 
     #[test]
     fn simulation_is_deterministic() {

@@ -7,22 +7,23 @@
 use std::sync::Arc;
 
 use privlocad::{AdDelivery, EdgeDevice, SharedEdgeDevice, SystemConfig};
-use privlocad_adnet::{AdNetwork, Campaign, Targeting};
+use privlocad_adnet::{AdNetwork, BidExchange, Campaign, Targeting};
 use privlocad_geo::rng::{derive_seed, seeded};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
+use privlocad_openrtb::BidSink;
 
 const WINDOW_CYCLES: usize = 3;
 const REQUESTS_PER_CYCLE: usize = 25;
 
-fn network() -> AdNetwork {
-    AdNetwork::new(vec![
+fn exchange() -> BidExchange {
+    BidExchange::new(AdNetwork::new(vec![
         Campaign::new(0u64, "home-cafe", Targeting::radius(Point::new(0.0, 0.0), 25_000.0).unwrap(), 2.0)
             .unwrap(),
         Campaign::new(1u64, "office-gym", Targeting::radius(Point::new(9_000.0, 0.0), 25_000.0).unwrap(), 3.0)
             .unwrap(),
         Campaign::new(2u64, "countrywide", Targeting::Country(86), 1.0).unwrap(),
-    ])
+    ]))
 }
 
 /// Drives one edge device through 3 protection-window cycles, recording the
@@ -31,12 +32,12 @@ fn network() -> AdNetwork {
 /// posterior weights from scratch.
 fn drive_edge(seed: u64, flush: bool) -> Vec<AdDelivery> {
     let mut edge = EdgeDevice::new(SystemConfig::builder().build().unwrap(), seed);
-    let mut net = network();
+    let sink = BidSink::new();
+    let mut exchange = exchange();
     let user = UserId::new(1);
     let home = Point::new(0.0, 0.0);
     let office = Point::new(9_000.0, 0.0);
     let mut stream = Vec::new();
-    let mut t = 0i64;
     for cycle in 0..WINDOW_CYCLES {
         // The office grows more prominent every cycle, so the top set (and
         // with it the cache keys) genuinely changes across windows.
@@ -56,8 +57,7 @@ fn drive_edge(seed: u64, flush: bool) -> Vec<AdDelivery> {
                 1 => office,
                 _ => Point::new(40_000.0, 40_000.0), // nomadic
             };
-            stream.push(edge.request_ads(user, at, t, &mut net));
-            t += 1;
+            stream.push(edge.request_ads(user, at, &sink, &mut exchange));
         }
     }
     stream

@@ -49,6 +49,33 @@ pub fn derive_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The FNV-1a 64-bit offset basis: the state [`fnv1a64_extend`] starts from.
+pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a 64-bit hash over `bytes`, so a digest can be built
+/// from several pieces without concatenating them first.
+///
+/// ```
+/// use privlocad_geo::rng::{fnv1a64, fnv1a64_extend, FNV1A64_OFFSET};
+/// let split = fnv1a64_extend(fnv1a64_extend(FNV1A64_OFFSET, b"ab"), b"c");
+/// assert_eq!(split, fnv1a64(b"abc"));
+/// ```
+#[inline]
+#[must_use]
+pub fn fnv1a64_extend(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// FNV-1a 64-bit hash: the workspace's one content digest (wire request
+/// ids, exchange-log and checkpoint digests, bench output digests).
+#[inline]
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_extend(FNV1A64_OFFSET, bytes)
+}
+
 /// Draws one standard-normal deviate using the Marsaglia polar method.
 ///
 /// The second deviate of each accepted pair is intentionally discarded to
@@ -269,5 +296,12 @@ mod tests {
             let a = uniform_angle(&mut rng);
             assert!((0.0..2.0 * PI).contains(&a));
         }
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

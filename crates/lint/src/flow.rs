@@ -122,10 +122,6 @@ const SINKS: &[FnPat] = &[
     // here is deferred wire egress. Only decoded *released* responses may
     // populate it (the live call site is qualified so this resolves).
     pat(Some("core"), Some("StaleCache"), "insert"),
-    pat(Some("adnet"), Some("BidRequest"), "encode"),
-    pat(Some("adnet"), Some("AdNetwork"), "serve"),
-    pat(Some("adnet"), Some("AdNetwork"), "auction"),
-    pat(Some("adnet"), Some("BidLog"), "push"),
     // The OpenRTB-lite bid emission path: a location submitted to the sink is
     // framed and shipped to the ad exchange verbatim, so both the sink
     // hand-off and the wire encoder are egress points.
@@ -147,7 +143,7 @@ const MAX_WITNESS_HOPS: usize = 8;
 /// unqualified `.name(` call must never resolve to a same-named workspace
 /// function — the receiver is almost certainly a std type, and letting e.g.
 /// every `.collect()` alias a workspace helper named `collect` wires the
-/// whole call graph together. Qualified calls (`BidLog::push(..)`) still
+/// whole call graph together. Qualified calls (`BidExchangeLog::append(..)`) still
 /// resolve. Sorted for binary search.
 const UBIQUITOUS_METHODS: &[&str] = &[
     "all", "and_then", "any", "append", "as_bytes", "as_mut", "as_ref", "as_slice",

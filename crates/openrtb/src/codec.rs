@@ -57,15 +57,7 @@ pub fn fnv1a32(data: &[u8]) -> u32 {
 }
 
 /// FNV-1a 64-bit hash — request ids, creative ids and log digests.
-#[must_use]
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use privlocad_geo::rng::fnv1a64;
 
 /// A typed decode failure. Every malformed input maps to one of these;
 /// decoding never panics.

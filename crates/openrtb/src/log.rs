@@ -37,9 +37,9 @@ impl ExchangeRecord {
 
 /// An append-only log of every request/response pair an exchange settled.
 ///
-/// This is the live replacement for the synthetic `BidLog` the attack crate
-/// used to consume: re-identification now runs over the exact bytes the
-/// fleet put on the wire.
+/// It is the one bid log of the system: the live fleet and the
+/// single-device simulation both settle into it, and re-identification runs
+/// over the exact bytes put on the wire.
 #[derive(Debug, Clone, Default)]
 pub struct BidExchangeLog {
     records: BTreeMap<(u64, u64), ExchangeRecord>,
@@ -70,6 +70,12 @@ impl BidExchangeLog {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+
+    /// The settled record of `device`'s request number `seq`, if any.
+    #[must_use]
+    pub fn get(&self, device: DeviceId, seq: u64) -> Option<&ExchangeRecord> {
+        self.records.get(&(device.raw(), seq))
     }
 
     /// All records in canonical `(device, seq)` order.
@@ -172,6 +178,8 @@ mod tests {
             log.locations_of(DeviceId::new(1)).iter().map(|p| p.x).collect();
         assert_eq!(xs, vec![10.0, 11.0]);
         assert_eq!(log.locations_of(DeviceId::new(3)), Vec::new());
+        assert_eq!(log.get(DeviceId::new(1), 1).map(|r| r.location().x), Some(11.0));
+        assert!(log.get(DeviceId::new(2), 1).is_none());
         assert_eq!(log.wins(), 2);
         assert_eq!(log.revenue_micros(), 2_000_000);
     }

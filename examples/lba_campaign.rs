@@ -53,12 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let log = sim.bid_log();
-    let revenue: f64 = log.entries().iter().map(|e| e.price).sum();
     println!("\ntotals: {requests} requests, {won} auctions won, {delivered} ads delivered");
     println!(
-        "ad network log: {} transactions, {:.0} total clearing price units",
+        "exchange log: {} transactions, {:.0} total clearing price units",
         log.len(),
-        revenue
+        log.revenue_micros() as f64 / 1e6
     );
     println!(
         "average relevant ads per request after the edge's AOI filter: {:.2}",

@@ -6,9 +6,10 @@
 //! ```
 
 use privlocad::{EdgeDevice, SystemConfig};
-use privlocad_adnet::{AdNetwork, Campaign, Targeting};
+use privlocad_adnet::{AdNetwork, BidExchange, Campaign, DeviceId, Targeting};
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
+use privlocad_openrtb::BidSink;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Configure the system with the paper's defaults:
@@ -24,11 +25,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config.geo_ind().n(),
     );
 
-    // 2. A trusted edge device and a (curious) ad network with two
-    //    campaigns: a coffee shop near home and a gym across town.
+    // 2. A trusted edge device and a (curious) ad exchange whose network
+    //    runs two campaigns: a coffee shop near home and a gym across
+    //    town. Bid requests reach the exchange through a sink.
     let mut edge = EdgeDevice::new(config, 7);
     let home = Point::new(1_000.0, 2_000.0);
-    let mut network = AdNetwork::new(vec![
+    let sink = BidSink::new();
+    let mut exchange = BidExchange::new(AdNetwork::new(vec![
         Campaign::new(0, "coffee near home", Targeting::radius(home, 25_000.0)?, 2.5)?,
         Campaign::new(
             1,
@@ -36,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Targeting::radius(Point::new(70_000.0, 0.0), 25_000.0)?,
             4.0,
         )?,
-    ]);
+    ]));
 
     // 3. A profile window of check-ins at home, then window close: the
     //    edge learns the top location and releases its permanent
@@ -55,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {c}  ({:.0} m from home)", c.distance(home));
     }
     for t in 0..5 {
-        let delivery = edge.request_ads(user, home, t, &mut network);
+        let delivery = edge.request_ads(user, home, &sink, &mut exchange);
         println!(
             "request {t}: reported {} -> {} ad(s) delivered{}",
             delivery.reported,
@@ -69,8 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!(candidates.contains(&delivery.reported));
     }
 
-    // 5. What the curious network learned: only candidate points.
-    let observed = network.log().locations_of(privlocad_adnet::DeviceId::new(42));
+    // 5. What the curious exchange learned: only candidate points.
+    let observed = exchange.log().locations_of(DeviceId::new(42));
     println!(
         "ad network observed {} reports, {} distinct locations, none equal to home",
         observed.len(),

@@ -9,6 +9,7 @@ use privlocad_attack::evaluation::rank_distances;
 use privlocad_attack::DeobfuscationAttack;
 use privlocad_mechanisms::{NFoldGaussian, PlanarLaplace, PlanarLaplaceParams};
 use privlocad_mobility::{shanghai, PopulationConfig};
+use privlocad_openrtb::BidRequest;
 
 fn population() -> PopulationConfig {
     PopulationConfig::builder()
@@ -111,9 +112,12 @@ fn wire_format_round_trips_the_whole_log() {
     let config = SystemConfig::builder().build().unwrap();
     let mut sim = LbaSimulation::new(config, Vec::new(), 4);
     sim.run_user(&pop.generate_user(2));
-    for entry in sim.bid_log().entries().iter().take(500) {
-        let bytes = entry.request.encode();
-        let decoded = privlocad_adnet::BidRequest::decode(&bytes).unwrap();
-        assert_eq!(decoded, entry.request);
+    let log = sim.bid_log();
+    assert!(!log.is_empty());
+    for record in log.records() {
+        let (decoded, consumed) = BidRequest::decode(&record.request_frame).unwrap();
+        assert_eq!(consumed, record.request_frame.len());
+        assert_eq!(decoded, record.request);
+        assert_eq!(record.request.encode(), record.request_frame);
     }
 }

@@ -3,10 +3,11 @@
 
 use privlocad::{EdgeDevice, SystemConfig};
 use privlocad_adnet::{
-    AdNetwork, AreaGrid, Campaign, CampaignId, ServingPolicy, Targeting,
+    AdNetwork, AreaGrid, BidExchange, Campaign, CampaignId, ServingPolicy, Targeting,
 };
 use privlocad_geo::Point;
 use privlocad_mobility::UserId;
+use privlocad_openrtb::BidSink;
 
 fn settled_edge(home: Point) -> (EdgeDevice, UserId) {
     let mut edge = EdgeDevice::new(SystemConfig::builder().build().unwrap(), 31);
@@ -41,12 +42,14 @@ fn mixed_targeting_marketplace_over_obfuscated_requests() {
     ]);
     network.set_country(86);
     network.set_area_grid(AreaGrid::new(40_000.0));
+    let sink = BidSink::new();
+    let mut exchange = BidExchange::new(network);
 
     let mut winners = std::collections::HashSet::new();
-    for t in 0..50 {
-        let delivery = edge.request_ads(user, home, t, &mut network);
-        if let Some(o) = &delivery.auction {
-            winners.insert(o.winner.id().raw());
+    for _ in 0..50 {
+        let delivery = edge.request_ads(user, home, &sink, &mut exchange);
+        if let Some(win) = delivery.auction.seatbid {
+            winners.insert(win.seat);
         }
         // Non-geographic ads always pass the AOI filter; radius ads only
         // when truly relevant.
@@ -59,7 +62,7 @@ fn mixed_targeting_marketplace_over_obfuscated_requests() {
     // The high-bid radius campaign wins whenever the obfuscated request
     // lands in range; auctions always have at least the national bidder.
     assert!(winners.contains(&0) || winners.contains(&2) || winners.contains(&1));
-    assert_eq!(network.log().len(), 50);
+    assert_eq!(exchange.log().len(), 50);
 }
 
 #[test]
@@ -73,23 +76,26 @@ fn budgets_rotate_winners_under_the_edge_pipeline() {
     network.set_country(86);
     // The top bidder pays the second price (2.0) and can afford 3 wins.
     network.set_policy(CampaignId::new(0), ServingPolicy::unlimited().with_budget(6.0));
+    let sink = BidSink::new();
+    let mut exchange = BidExchange::new(network);
 
     let mut first_wins = 0;
     let mut later_wins = 0;
     for t in 0..10 {
-        let delivery = edge.request_ads(user, home, t, &mut network);
-        let winner = delivery.auction.expect("country campaign always matches").winner;
+        let delivery = edge.request_ads(user, home, &sink, &mut exchange);
+        let win = delivery.auction.seatbid.expect("country campaign always matches");
+        assert_eq!(win.bid.price_micros, 2_000_000, "the winner pays the second price");
         if t < 3 {
-            assert_eq!(winner.id().raw(), 0, "budget should last 3 wins");
+            assert_eq!(win.seat, 0, "budget should last 3 wins");
             first_wins += 1;
         } else {
-            assert_eq!(winner.id().raw(), 1, "runner-up takes over after exhaustion");
+            assert_eq!(win.seat, 1, "runner-up takes over after exhaustion");
             later_wins += 1;
         }
     }
     assert_eq!(first_wins, 3);
     assert_eq!(later_wins, 7);
-    assert!((network.serving_state(CampaignId::new(0)).spent() - 6.0).abs() < 1e-9);
+    assert_eq!(exchange.network().serving_state(CampaignId::new(0)).spent_micros(), 6_000_000);
 }
 
 #[test]
@@ -100,10 +106,12 @@ fn frequency_caps_limit_per_user_exposure_through_the_edge() {
         AdNetwork::new(vec![Campaign::new(0, "capped", Targeting::Country(86), 3.0).unwrap()]);
     network.set_country(86);
     network.set_policy(CampaignId::new(0), ServingPolicy::unlimited().with_frequency_cap(2));
+    let sink = BidSink::new();
+    let mut exchange = BidExchange::new(network);
 
     let mut wins = 0;
-    for t in 0..6 {
-        if edge.request_ads(user, home, t, &mut network).auction.is_some() {
+    for _ in 0..6 {
+        if edge.request_ads(user, home, &sink, &mut exchange).auction.is_win() {
             wins += 1;
         }
     }

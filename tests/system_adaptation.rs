@@ -59,9 +59,11 @@ fn window_recomputation_protects_the_new_home() {
     let day_secs = 86_400;
     let mut before = std::collections::HashMap::new();
     let mut after = std::collections::HashMap::new();
-    for e in sim.bid_log().entries() {
-        let key = (e.request.location.x.to_bits(), e.request.location.y.to_bits());
-        if e.request.timestamp < rel.day * day_secs {
+    // One request per check-in: the log's k-th record is check-in k.
+    for (record, checkin) in sim.bid_log().records().zip(&user.checkins) {
+        let at = record.location();
+        let key = (at.x.to_bits(), at.y.to_bits());
+        if checkin.time.seconds() < rel.day * day_secs {
             *before.entry(key).or_insert(0usize) += 1;
         } else {
             *after.entry(key).or_insert(0usize) += 1;
